@@ -16,7 +16,6 @@ from .core_lattice import (
 )
 from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
 from .peterson import (
-    ExactRational,
     MultiplicityTable,
     export_csv,
     kostant_count,
@@ -50,7 +49,6 @@ __all__ = [
     "BoundReport",
     "DyckPath",
     "EstimateReport",
-    "ExactRational",
     "FilterLevel",
     "MultiplicityTable",
     "Rank2Cartan",

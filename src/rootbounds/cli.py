@@ -46,6 +46,23 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)
 
 
+def _threads_arg(text: str):
+    # A value that is not an integer is kept as text for cmd_estimate to
+    # reject, so that it gets main's one-line error, not argparse's usage.
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _check_threads(threads) -> int:
+    if not isinstance(threads, int) or threads < 1:
+        raise ValueError(
+            f"--threads (default ${THREADS_ENV}) must be a positive integer, got {threads!r}"
+        )
+    return threads
+
+
 def _theorem_level(theorem: int) -> FilterLevel:
     return FilterLevel.COND1 if theorem == 1 else FilterLevel.COND2
 
@@ -114,7 +131,7 @@ def cmd_estimate(args) -> int:
         _theorem_level(args.theorem),
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
+        threads=_check_threads(args.threads),
         chunk=args.chunk,
     )
     print(report.to_json())
@@ -224,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_seed, required=True, help="decimal or hex")
     p.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get(THREADS_ENV, "1")),
+        type=_threads_arg,
+        default=os.environ.get(THREADS_ENV, "1"),
         help=f"worker threads (default ${THREADS_ENV} or 1); does not affect results",
     )
     p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK, help="samples per RNG chunk")

@@ -112,7 +112,8 @@ def dyck_count(n: int, m: int) -> int:
     if gcd(m, n) != 1:
         raise ValueError("count formula requires coprime endpoint")
     q, rem = divmod(comb(m + n, n), m + n)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"binomial({m + n}, {n}) is not divisible by {m + n}")
     return q
 
 

@@ -208,7 +208,8 @@ def bound_report(
 
     place_pair(0, 0, True, True)
     expected = dyck_count(n, m)
-    assert nd == expected, f"enumerated {nd} paths, closed form gives {expected}"
+    if nd != expected:
+        raise ArithmeticError(f"enumerated {nd} paths, closed form gives {expected}")
     return BoundReport(
         weight=Weight(n, m),
         r=cartan.r,

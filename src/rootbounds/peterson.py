@@ -1,10 +1,21 @@
 """Exact root multiplicities via Peterson's recursion, plus the Kostant
 partition counter used as an independent cross-check of conventions.
 
-The recursion computes auxiliary rationals c_beta over the whole lower box
-of the target weight in height order; multiplicities then follow by
-Moebius inversion over the divisors of the weight.  All arithmetic is
-exact (Fraction / arbitrary-precision int).
+Peterson's recursion (Kac, *Infinite-Dimensional Lie Algebras*, 11.13)
+fixes the rationals c_beta = sum over d | beta of mult(beta/d)/d through
+
+    ((beta|beta) - 2*height(beta)) * c_beta
+        = sum over beta' + beta'' = beta of (beta'|beta'') * c_beta' * c_beta'',
+
+filled in height order over the lower box of the target weight;
+multiplicities follow by taking off the proper-divisor terms.  The
+denominator of c_beta divides gcd(beta), or k on an axis beta = k*alpha_i,
+so with L = lcm(1..longest box side) every L*c_beta is an integer and the
+recursion runs on Python ints with one checked exact division per cell.
+The summand is symmetric under beta' <-> beta'', so each pair is summed
+once, and the form is symmetric under (c0, c1) <-> (c1, c0), so a cell
+whose mirror is already filled is copied from it.  Fractions appear only
+in the table's entries, which entry() and peterson_c() hand out.
 """
 
 from __future__ import annotations
@@ -12,76 +23,105 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, TextIO
 
 from .core_lattice import Rank2Cartan, RootClass, Weight, bilinear_form, classify, mobius
 
-# reduced-to-lowest-terms invariant comes with the stdlib type
-ExactRational = Fraction
-
 
 @dataclass
 class MultiplicityTable:
-    """Memoized (c, mult) entries over a growing lower box, filled in height order."""
+    """Memoized (c, mult) entries over a growing lower box, filled in height order.
+
+    The state is two integer grids indexed [c0][c1]: ``_c`` holds L*c and
+    ``_m`` the multiplicity, with L = ``_scale`` = lcm(1..longest box side).
+    ``entries`` repeats each filled cell as (Fraction c, mult).
+    """
 
     cartan: Rank2Cartan
     entries: dict[Weight, tuple[Fraction, int]] = field(default_factory=dict)
     _box: tuple[int, int] = (0, 0)
+    _scale: int = 1
+    _c: list[list[int]] = field(default_factory=lambda: [[0]], repr=False)
+    _m: list[list[int]] = field(default_factory=lambda: [[0]], repr=False)
 
     @property
     def r(self) -> int:
         return self.cartan.r
 
     def fill_box(self, c0max: int, c1max: int) -> None:
-        if c0max <= self._box[0] and c1max <= self._box[1]:
+        old0, old1 = self._box
+        if c0max <= old0 and c1max <= old1:
             return
-        c0max = max(c0max, self._box[0])
-        c1max = max(c1max, self._box[1])
-        r = self.cartan.r
-        cvals: dict[tuple[int, int], Fraction] = {
-            (w.c0, w.c1): c for w, (c, _) in self.entries.items()
-        }
+        c0max = max(c0max, old0)
+        c1max = max(c1max, old1)
+        self._grow(c0max, c1max)
+        C, M = self._c, self._m
         for h in range(1, c0max + c1max + 1):
             for a0 in range(max(0, h - c1max), min(c0max, h) + 1):
                 a1 = h - a0
-                if (a0, a1) in cvals:
+                if a0 <= old0 and a1 <= old1:
                     continue
-                self._compute(a0, a1, cvals, r)
+                if a1 < a0 <= c1max:
+                    # the mirror (a1, a0) has the same height and a smaller
+                    # c0, so it is already filled
+                    C[a0][a1] = C[a1][a0]
+                    m = M[a0][a1] = M[a1][a0]
+                    self.entries[Weight(a0, a1)] = (self.entries[Weight(a1, a0)][0], m)
+                    continue
+                c, m = self._compute(a0, a1)
+                C[a0][a1] = c
+                M[a0][a1] = m
+                self.entries[Weight(a0, a1)] = (Fraction(c, self._scale), m)
         self._box = (c0max, c1max)
 
-    def _compute(self, a0: int, a1: int, cvals, r: int) -> None:
+    def _grow(self, c0max: int, c1max: int) -> None:
+        """Widen both grids to the new box and rescale L*c to the new L."""
+        scale = lcm(*range(1, max(c0max, c1max) + 1))
+        factor = scale // self._scale
+        pad = c1max + 1 - len(self._c[0])
+        for crow, mrow in zip(self._c, self._m):
+            if factor != 1:
+                crow[:] = [factor * c for c in crow]
+            crow.extend([0] * pad)
+            mrow.extend([0] * pad)
+        for _ in range(c0max + 1 - len(self._c)):
+            self._c.append([0] * (c1max + 1))
+            self._m.append([0] * (c1max + 1))
+        self._scale = scale
+
+    def _compute(self, a0: int, a1: int) -> tuple[int, int]:
+        """(L*c, mult) at (a0, a1) from the already-filled lower cells."""
+        L = self._scale
         if (a0, a1) in ((1, 0), (0, 1)):
-            cvals[(a0, a1)] = Fraction(1)
-            self.entries[Weight(a0, a1)] = (Fraction(1), 1)
-            return
-        num = Fraction(0)
-        for b0 in range(a0 + 1):
-            for b1 in range(a1 + 1):
-                if (b0, b1) == (0, 0) or (b0, b1) == (a0, a1):
-                    continue
-                cb = cvals[(b0, b1)]
+            return L, 1
+        r = self.cartan.r
+        C = self._c
+        # Sum (b|a-b) * C[b] * C[a-b] over b < a - b (lexicographically)
+        # and double it; b = a/2, when a is even, pairs with itself and is
+        # added once.  b = 0 and b = a drop out because C[0][0] = 0.
+        half = 0
+        for b0 in range(a0 // 2 + 1):
+            e0 = a0 - b0
+            row_b, row_e = C[b0], C[e0]
+            for b1 in range(a1 + 1 if b0 < e0 else (a1 + 1) // 2):
+                cb = row_b[b1]
                 if not cb:
                     continue
-                cc = cvals[(a0 - b0, a1 - b1)]
-                if not cc:
+                e1 = a1 - b1
+                ce = row_e[e1]
+                if not ce:
                     continue
-                num += (
-                    2 * b0 * (a0 - b0)
-                    + 2 * b1 * (a1 - b1)
-                    - r * (b0 * (a1 - b1) + b1 * (a0 - b0))
-                ) * cb * cc
-        norm = 2 * a0 * a0 + 2 * a1 * a1 - 2 * r * a0 * a1
-        denom = norm - 2 * (a0 + a1)
+                half += (2 * (b0 * e0 + b1 * e1) - r * (b0 * e1 + b1 * e0)) * cb * ce
+        num = 2 * half
+        if a0 % 2 == 0 and a1 % 2 == 0:
+            b0, b1 = a0 // 2, a1 // 2
+            num += (2 * (b0 * b0 + b1 * b1) - 2 * r * b0 * b1) * C[b0][b1] ** 2
+        denom = 2 * a0 * a0 + 2 * a1 * a1 - 2 * r * a0 * a1 - 2 * (a0 + a1)
         g = gcd(a0, a1)
-        imprimitive = sum(
-            (
-                Fraction(self.entries[Weight(a0 // d, a1 // d)][1], d)
-                for d in range(2, g + 1)
-                if g % d == 0
-            ),
-            Fraction(0),
-        )
+        M = self._m
+        # L times the proper-divisor part sum_{d | g, d > 1} mult(a/d)/d
+        imprimitive = sum(L // d * M[a0 // d][a1 // d] for d in range(2, g + 1) if g % d == 0)
         if denom == 0:
             # norm = 2*height >= 4 here, so the weight cannot be a root
             # (roots have norm 2 or <= 0): its primitive multiplicity is 0
@@ -91,18 +131,21 @@ class MultiplicityTable:
                 raise ArithmeticError(
                     f"Peterson denominator vanishes with nonzero numerator at {(a0, a1)}"
                 )
-            c = imprimitive
-            m = 0
-        else:
-            c = num / denom
-            m_frac = c - imprimitive
-            if m_frac.denominator != 1 or m_frac < 0:
-                raise ArithmeticError(
-                    f"multiplicity at {(a0, a1)} came out {m_frac}; convention bug"
-                )
-            m = int(m_frac)
-        cvals[(a0, a1)] = c
-        self.entries[Weight(a0, a1)] = (c, m)
+            return imprimitive, 0
+        # num = denom * L * (L*c): the sum ran over products of two L-scaled values
+        c, rem = divmod(num, L * denom)
+        if rem:
+            raise ArithmeticError(
+                f"c at {(a0, a1)} came out {Fraction(num, L * L * denom)}, whose "
+                f"denominator does not divide {L}; convention bug"
+            )
+        m, rem = divmod(c - imprimitive, L)
+        if rem or m < 0:
+            raise ArithmeticError(
+                f"multiplicity at {(a0, a1)} came out {Fraction(c - imprimitive, L)}; "
+                "convention bug"
+            )
+        return c, m
 
     def entry(self, weight) -> tuple[Fraction, int]:
         c0, c1 = weight
@@ -138,7 +181,8 @@ def _mobius_inversion_mult(weight, table: MultiplicityTable) -> int:
     for d in range(1, g + 1):
         if g % d == 0:
             acc += Fraction(mobius(d), d) * table.entry(Weight(c0 // d, c1 // d))[0]
-    assert acc.denominator == 1 and acc >= 0, (weight, acc)
+    if acc.denominator != 1 or acc < 0:
+        raise ArithmeticError(f"Moebius inversion at {tuple(weight)} came out {acc}")
     return int(acc)
 
 

@@ -110,14 +110,14 @@ def sample_uniform_dyck(weight, rng: np.random.Generator) -> DyckPath:
     heights[0] = 0
     np.cumsum(np.where(word == 1, n, -m)[: N - 1], out=heights[1:])
     p = int(np.argmin(heights))
-    if __debug__:
-        assert int((heights == heights[p]).sum()) == 1, "minimum must be unique"
+    if int((heights == heights[p]).sum()) != 1:
+        raise ArithmeticError(f"cycle lemma: word to {(n, m)} has no unique lowest point")
     rotated = np.roll(word, -p)
     boundaries = np.flatnonzero(rotated[1:] != rotated[:-1])
     runs = np.diff(np.concatenate(([-1], boundaries, [N - 1])))
     path = DyckPath(StringData(tuple(int(a) for a in runs)), (n, m))
-    if __debug__:
-        assert is_dyck(path.data)
+    if not is_dyck(path.data):
+        raise ArithmeticError(f"rotated word to {(n, m)} is not a Dyck path")
     return path
 
 

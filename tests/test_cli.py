@@ -104,6 +104,33 @@ def test_estimate_thread_env_default(monkeypatch):
     assert args.threads == 3
 
 
+def _estimate_argv(*extra):
+    return ("estimate", "--root", "4,3", "--theorem", "1", "--samples", "10", "--seed", "0",
+            *extra)
+
+
+def test_estimate_rejects_non_integer_thread_env(capsys, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "abc")
+    code, out, err = run_cli(capsys, *_estimate_argv())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert THREADS_ENV in err and "'abc'" in err
+
+
+def test_estimate_rejects_threads_below_one(capsys, monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    for bad in ("0", "-2", "x"):
+        code, out, err = run_cli(capsys, *_estimate_argv("--threads", bad))
+        assert code == 2, bad
+        assert out == "", bad
+        assert err.startswith("error:") and err.count("\n") == 1, bad
+    monkeypatch.setenv(THREADS_ENV, "0")
+    code, _, err = run_cli(capsys, *_estimate_argv())
+    assert code == 2
+    assert "got 0" in err
+
+
 def test_validate_word(capsys):
     code, out, _ = run_cli(capsys, "validate", "--word", "1010001")
     assert code == 0

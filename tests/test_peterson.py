@@ -29,6 +29,11 @@ def test_c_base_and_small_values(cartan3, table3):
     assert peterson_c((2, 0), cartan3, table3) == Fraction(1, 2)
 
 
+def test_c_is_a_fraction(cartan3, table3):
+    for weight in ((1, 0), (2, 0), (4, 1), (12, 4), (16, 15)):
+        assert type(peterson_c(weight, cartan3, table3)) is Fraction, weight
+
+
 def test_c_rejects_zero_weight(cartan3, table3):
     with pytest.raises(ValueError):
         peterson_c((0, 0), cartan3, table3)
@@ -112,6 +117,14 @@ def test_mobius_inversion_agrees_with_table(table3):
             )[1]
 
 
+def test_mobius_inversion_rejects_non_integral_c(cartan3):
+    table = MultiplicityTable(cartan3)
+    table.fill_box(2, 2)
+    table.entries[Weight(1, 1)] = (Fraction(1, 2), 1)
+    with pytest.raises(ArithmeticError):
+        _mobius_inversion_mult(Weight(1, 1), table)
+
+
 def test_positive_roots_up_to_examples(cartan3):
     roots = positive_roots_up_to((1, 1), cartan3)
     assert roots == [
@@ -173,6 +186,20 @@ def test_incremental_box_growth(cartan3):
     assert table.entry(Weight(4, 3))[1] == 4
     assert table.entry(Weight(15, 11))[1] == 23750
     assert table.entry(Weight(6, 5))[1] == 23
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_growth_through_non_square_boxes_matches_fresh_fill(r):
+    # Each step lengthens the longest side, so L*c is rescaled; the second
+    # step fills cells such as (10,3) whose mirror (3,10) lies outside the
+    # (12,7) box, and (7,3) whose mirror was filled by the first step.
+    grown = MultiplicityTable(Rank2Cartan(r))
+    for box in ((3, 7), (12, 5), (20, 20)):
+        grown.fill_box(*box)
+    fresh = MultiplicityTable(Rank2Cartan(r))
+    fresh.fill_box(20, 20)
+    assert len(grown.entries) == 21 * 21 - 1
+    assert grown.entries == fresh.entries
 
 
 def test_csv_export_roundtrip(cartan3):
