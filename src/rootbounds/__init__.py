@@ -1,6 +1,6 @@
 """Exact root multiplicities for rank-2 symmetric hyperbolic Kac-Moody
 algebras, with combinatorial upper bounds from filtered rational Dyck
-paths (exact enumeration and Monte-Carlo estimation)."""
+paths (exact counts and Monte-Carlo estimates)."""
 
 from .core_lattice import (
     ALPHA0,

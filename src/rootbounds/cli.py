@@ -31,6 +31,13 @@ from .string_data import (
 THREADS_ENV = "ROOTBOUNDS_THREADS"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one error line, like every other bad input."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _parse_root(text: str) -> Weight:
     parts = text.split(",")
     if len(parts) != 2:
@@ -201,7 +208,7 @@ def cmd_stats(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootbounds",
         description=(
             "Exact rank-2 hyperbolic root multiplicities and Dyck-path upper "

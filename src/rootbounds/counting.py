@@ -1,24 +1,33 @@
-"""Exhaustive enumeration of rational Dyck paths under the stability filters.
+"""Exact counts of rational Dyck paths under the stability filters.
 
-Depth-first search over run pairs (up run, right run).  The diagonal
-bound, cond1, and cond2 are all prefix-closed, so failing branches are
-cut as early as possible; cond1 and cond2 violations are additionally
-monotone in the run being placed, which turns inner loops into breaks.
+A path is built one run pair (up run, right run) at a time, and every
+filter is decided pair by pair: the diagonal caps the right run, cond1
+tests each new run against the one before it, and cond2's inequalities
+for a pair y are settled once the next up run is placed, through the
+running min of f(x) = O_{x-1} + O_x - r*E_{x-1}.  So a prefix matters
+only through its state (O, E, last right run, running min f), where O
+and E are the up and right steps placed so far; the parts a filter level
+does not test are held fixed, so the Dyck level keys on (O, E) alone.
+
+One transition rule, _successors, serves two walks over these states: a
+layered dynamic program that counts (bound1, bound2, bound_report), and
+a depth-first lister that hands each path to a visitor (enumerate_dyck).
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core_lattice import Rank2Cartan, RootClass, Weight, classify, dyck_count
-from .stability_filters import FilterLevel, cond1_pair
-from .string_data import StringData
+from .stability_filters import FilterLevel, cond1_pair, cond2_low, cond2_step
 
 Visitor = Callable[[tuple[int, ...]], None]
+State = tuple[int, int, int, int]
 
 
 @dataclass
@@ -29,7 +38,6 @@ class BoundReport:
     count_thm1: int
     count_thm2: int
     elapsed: float
-    paths_listed: Optional[list[StringData]] = None
 
 
 def _check_endpoint(weight) -> tuple[int, int]:
@@ -37,6 +45,60 @@ def _check_endpoint(weight) -> tuple[int, int]:
     if n < 1 or m < 1:
         raise ValueError("enumeration needs both coordinates positive")
     return n, m
+
+
+def _start(m: int) -> State:
+    # no right run before the first pair, and m as the min of f makes
+    # the first cond2 step hold
+    return (0, 0, 0, m)
+
+
+def _successors(
+    state: State, n: int, m: int, cartan: Rank2Cartan, level: FilterLevel
+) -> Iterator[tuple[int, int, Optional[State]]]:
+    """Yield (u, v, next state) for each run pair that may follow the prefix.
+
+    The next state is None when the pair ends the path at (n, m).
+    """
+    O, E, last, low = state
+    r = cartan.r
+    use1 = level is not FilterLevel.DYCK
+    use2 = level is FilterLevel.COND2
+    for u in range(1, m - O + 1):
+        # a failing ratio or cond2 step fails for every larger u too
+        if use1 and last and not cond1_pair(last, u, cartan):
+            break
+        if use2 and not cond2_step(O, E, low, u, n, m, r):
+            break
+        y = O + u
+        if y == m:
+            v = n - E  # the final right run is forced
+            if not use1 or cond1_pair(u, v, cartan):
+                yield u, v, None
+            break
+        # stay weakly above the diagonal, and leave a right step for later
+        vmax = min(y * n // m - E, n - E - 1)
+        next_low = cond2_low(low, O, E, u, r) if use2 else low
+        for v in range(1, vmax + 1):
+            if use1 and not cond1_pair(u, v, cartan):
+                break  # and for every larger v
+            yield u, v, (y, E + v, v if use1 else 0, next_low)
+
+
+def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
+    """Number of paths to (n, m) passing the filter, one layer per run pair."""
+    layer = {_start(m): 1}
+    total = 0
+    while layer:
+        following: defaultdict[State, int] = defaultdict(int)
+        for state, ways in layer.items():
+            for _, _, succ in _successors(state, n, m, cartan, level):
+                if succ is None:
+                    total += ways
+                else:
+                    following[succ] += ways
+        layer = following
+    return total
 
 
 def enumerate_dyck(
@@ -51,72 +113,26 @@ def enumerate_dyck(
     complete run tuple.
     """
     n, m = _check_endpoint(weight)
-    r = cartan.r
-    use1 = level in (FilterLevel.COND1, FilterLevel.COND2)
-    use2 = level is FilterLevel.COND2
-    count = 0
     runs: list[int] = []
-    odd_ps = [0]
-    even_ps = [0]
 
-    def place_pair(x: int, y: int) -> None:
-        nonlocal count
-        j = len(runs) // 2
-        prev = runs[-1] if runs else None
-        for u in range(1, m - y + 1):
-            if use1 and prev is not None and not cond1_pair(prev, u, cartan):
-                if u > prev:
-                    break  # ratio only grows from here
-                continue
-            if use2 and j >= 1:
-                # all (x', y'=j) pairs become decidable once a_{2j+1}=u is fixed
-                num = even_ps[j]
-                violated = False
-                for x_ in range(1, j + 1):
-                    den = (
-                        odd_ps[x_ - 1]
-                        + r * (even_ps[j] - even_ps[x_ - 1])
-                        - (odd_ps[j] + u - odd_ps[x_])
-                    )
-                    if num * m > den * n:
-                        violated = True
-                        break
-                if violated:
-                    break  # den only shrinks as u grows
-            y2 = y + u
-            if y2 == m:
-                v = n - x  # final right run is forced
-                if not (use1 and not cond1_pair(u, v, cartan)):
-                    runs.append(u)
-                    runs.append(v)
-                    count += 1
-                    if visit is not None:
-                        visit(tuple(runs))
-                    runs.pop()
-                    runs.pop()
-                continue
-            # more ups to place later, so reserve at least one right step
-            vmax = min((y2 * n) // m - x, n - x - 1)
+    def walk(state: State) -> int:
+        count = 0
+        for u, v, succ in _successors(state, n, m, cartan, level):
             runs.append(u)
-            odd_ps.append(odd_ps[-1] + u)
-            for v in range(1, vmax + 1):
-                if use1 and not cond1_pair(u, v, cartan):
-                    if v > u:
-                        break
-                    continue
-                runs.append(v)
-                even_ps.append(even_ps[-1] + v)
-                place_pair(x + v, y2)
-                even_ps.pop()
-                runs.pop()
-            odd_ps.pop()
-            runs.pop()
+            runs.append(v)
+            if succ is None:
+                count += 1
+                if visit is not None:
+                    visit(tuple(runs))
+            else:
+                count += walk(succ)
+            del runs[-2:]
+        return count
 
-    place_pair(0, 0)
-    return count
+    return walk(_start(m))
 
 
-def _require_bound_weight(weight, cartan: Rank2Cartan) -> None:
+def _require_bound_weight(weight, cartan: Rank2Cartan) -> tuple[int, int]:
     n, m = _check_endpoint(weight)
     if gcd(m, n) != 1:
         raise ValueError("bounds are stated for coprime weights")
@@ -126,96 +142,36 @@ def _require_bound_weight(weight, cartan: Rank2Cartan) -> None:
             "exact but its upper-bound meaning is not guaranteed",
             stacklevel=3,
         )
+    return n, m
 
 
 def bound1(weight, cartan: Rank2Cartan) -> int:
     """Exact count of Dyck paths passing cond1."""
-    _require_bound_weight(weight, cartan)
-    return enumerate_dyck(weight, cartan, FilterLevel.COND1)
+    return _count(*_require_bound_weight(weight, cartan), cartan, FilterLevel.COND1)
 
 
 def bound2(weight, cartan: Rank2Cartan) -> int:
     """Exact count of Dyck paths passing cond1 and cond2 (the tighter bound)."""
-    _require_bound_weight(weight, cartan)
-    return enumerate_dyck(weight, cartan, FilterLevel.COND2)
+    return _count(*_require_bound_weight(weight, cartan), cartan, FilterLevel.COND2)
 
 
-def bound_report(
-    weight,
-    cartan: Rank2Cartan,
-    list_paths: bool = False,
-    list_limit: int = 10**6,
-) -> BoundReport:
-    """All three counts in a single flag-tracking traversal.
+def bound_report(weight, cartan: Rank2Cartan) -> BoundReport:
+    """The closed-form path count and both filtered counts.
 
-    With list_paths the sequences surviving every filter are collected
-    (they are the fewest), up to list_limit.
+    The unfiltered count of the same dynamic program is checked against
+    the closed form, so a fault in the shared transition rule shows.
     """
-    _require_bound_weight(weight, cartan)
-    n, m = weight
-    r = cartan.r
+    n, m = _require_bound_weight(weight, cartan)
     t0 = time.perf_counter()
-    nd = nt1 = nt2 = 0
-    listed: Optional[list[StringData]] = [] if list_paths else None
-    runs: list[int] = []
-    odd_ps = [0]
-    even_ps = [0]
-
-    def place_pair(x: int, y: int, ok1: bool, ok2: bool) -> None:
-        nonlocal nd, nt1, nt2
-        j = len(runs) // 2
-        prev = runs[-1] if runs else None
-        for u in range(1, m - y + 1):
-            u_ok1 = ok1 and (prev is None or cond1_pair(prev, u, cartan))
-            u_ok2 = ok2
-            if u_ok1 and u_ok2 and j >= 1:
-                num = even_ps[j]
-                for x_ in range(1, j + 1):
-                    den = (
-                        odd_ps[x_ - 1]
-                        + r * (even_ps[j] - even_ps[x_ - 1])
-                        - (odd_ps[j] + u - odd_ps[x_])
-                    )
-                    if num * m > den * n:
-                        u_ok2 = False
-                        break
-            y2 = y + u
-            if y2 == m:
-                v = n - x
-                nd += 1
-                if u_ok1 and cond1_pair(u, v, cartan):
-                    nt1 += 1
-                    if u_ok2:
-                        nt2 += 1
-                        if listed is not None:
-                            if len(listed) >= list_limit:
-                                raise ValueError(
-                                    "listing limit exceeded; rerun without path listing"
-                                )
-                            listed.append(StringData(tuple(runs) + (u, v)))
-                continue
-            vmax = min((y2 * n) // m - x, n - x - 1)
-            runs.append(u)
-            odd_ps.append(odd_ps[-1] + u)
-            for v in range(1, vmax + 1):
-                runs.append(v)
-                even_ps.append(even_ps[-1] + v)
-                place_pair(x + v, y2, u_ok1 and cond1_pair(u, v, cartan), u_ok2)
-                even_ps.pop()
-                runs.pop()
-            odd_ps.pop()
-            runs.pop()
-
-    place_pair(0, 0, True, True)
-    expected = dyck_count(n, m)
-    if nd != expected:
-        raise ArithmeticError(f"enumerated {nd} paths, closed form gives {expected}")
+    dyck_total = dyck_count(n, m)
+    counted = _count(n, m, cartan, FilterLevel.DYCK)
+    if counted != dyck_total:
+        raise ArithmeticError(f"counted {counted} paths, closed form gives {dyck_total}")
     return BoundReport(
         weight=Weight(n, m),
         r=cartan.r,
-        dyck_total=nd,
-        count_thm1=nt1,
-        count_thm2=nt2,
+        dyck_total=dyck_total,
+        count_thm1=_count(n, m, cartan, FilterLevel.COND1),
+        count_thm2=_count(n, m, cartan, FilterLevel.COND2),
         elapsed=time.perf_counter() - t0,
-        paths_listed=listed,
     )

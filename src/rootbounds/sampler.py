@@ -244,6 +244,8 @@ def visits_statistic(
     """
     if k < 1 or distance < 0 or samples < 1:
         raise ValueError("need k >= 1, distance >= 0, samples >= 1")
+    if chunk < 1:
+        raise ValueError("chunk size must be positive")
     n, m = k + 1, k
     base = np.zeros(n + m, dtype=np.int8)
     base[:m] = 1

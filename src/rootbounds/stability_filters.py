@@ -12,17 +12,13 @@ import enum
 from typing import Sequence
 
 from .core_lattice import Rank2Cartan
-from .string_data import StringData, is_dyck
+from .string_data import StringData, _runs, is_dyck, weight_of
 
 
 class FilterLevel(enum.Enum):
     DYCK = "dyck"
     COND1 = "cond1"
     COND2 = "cond2"
-
-
-def _runs(data) -> tuple[int, ...]:
-    return tuple(data.runs if isinstance(data, StringData) else data)
 
 
 def cond1_pair(a: int, b: int, cartan: Rank2Cartan) -> bool:
@@ -40,6 +36,22 @@ def cond1(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
     return all(cond1_pair(runs[k], runs[k + 1], cartan) for k in range(len(runs) - 1))
 
 
+def cond2_step(O: int, E: int, low: int, u: int, n: int, m: int, r: int) -> bool:
+    """cond2's inequalities for the last pair y of a prefix, once a_{2y+1} = u is placed.
+
+    (O, E) = (O_y, E_y) and low = min f(x) over x <= y, where
+    f(x) = O_{x-1} + O_x - r*E_{x-1}.  Before the first pair use
+    (0, 0, m), for which nothing is tested and the step always holds.
+    The right side only shrinks as u grows.
+    """
+    return E * m <= (low + r * E - O - u) * n
+
+
+def cond2_low(low: int, O: int, E: int, u: int, r: int) -> int:
+    """The running min of f once the up run u follows the prefix (O, E)."""
+    return min(low, 2 * O + u - r * E)
+
+
 def cond2(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
     """Partial-sum slope inequalities for a complete (even-length) sequence.
 
@@ -51,25 +63,24 @@ def cond2(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
     where (n, m) is the endpoint.  A nonpositive right factor counts as a
     violation: the left side is at least 1*m, so the cross-multiplied
     comparison handles that case with no special branch.
+
+    The right factor is f(x) + r*E_y - O_{y+1}, so for each y only the
+    smallest f(x) with x <= y matters; one pass keeps that running min
+    and checks each y with cond2_step.
     """
     runs = _runs(data)
     if len(runs) % 2 != 0:
         raise ValueError("condition defined for complete paths (even run count)")
-    k = len(runs) // 2
-    odd_ps = [0]
-    even_ps = [0]
-    for i in range(k):
-        odd_ps.append(odd_ps[-1] + runs[2 * i])
-        even_ps.append(even_ps[-1] + runs[2 * i + 1])
-    m = odd_ps[k]
-    n = even_ps[k]
+    n, m = weight_of(runs)
     r = cartan.r
-    for y in range(1, k):
-        num = even_ps[y]
-        for x in range(1, y + 1):
-            den = odd_ps[x - 1] + r * (even_ps[y] - even_ps[x - 1]) - (odd_ps[y + 1] - odd_ps[x])
-            if num * m > den * n:
-                return False
+    O = E = 0
+    low = m
+    for u, v in zip(runs[0::2], runs[1::2]):
+        if not cond2_step(O, E, low, u, n, m, r):
+            return False
+        low = cond2_low(low, O, E, u, r)
+        O += u
+        E += v
     return True
 
 

@@ -23,6 +23,10 @@ class StringData(NamedTuple):
         return len(self.runs)
 
 
+def _runs(data: StringData | Sequence[int]) -> tuple[int, ...]:
+    return tuple(data.runs if isinstance(data, StringData) else data)
+
+
 class DyckPath(NamedTuple):
     data: StringData
     endpoint: tuple[int, int]  # (n, m) = (right steps, up steps)
@@ -59,7 +63,7 @@ def word_to_runs(word: Iterable) -> StringData:
 
 
 def runs_to_word(data: StringData | Sequence[int]) -> str:
-    runs = tuple(data.runs if isinstance(data, StringData) else data)
+    runs = _runs(data)
     if any(a < 1 for a in runs[1:]) or (runs and runs[0] < 0):
         raise ValueError(f"non-canonical run sequence {runs}")
     out = []
@@ -72,7 +76,7 @@ def runs_to_word(data: StringData | Sequence[int]) -> str:
 
 def weight_of(data: StringData | Sequence[int]) -> Weight:
     """c0 = total letter-0 (even-indexed) run length, c1 = total letter-1."""
-    runs = tuple(data.runs if isinstance(data, StringData) else data)
+    runs = _runs(data)
     return Weight(sum(runs[1::2]), sum(runs[0::2]))
 
 
@@ -82,7 +86,7 @@ def is_dyck(data: StringData | Sequence[int]) -> bool:
     Checked by exact cross-multiplication x*m <= y*n at the end of every
     right run, which is where the path is lowest.
     """
-    runs = tuple(data.runs if isinstance(data, StringData) else data)
+    runs = _runs(data)
     if not runs:
         return True
     if len(runs) % 2 != 0 or runs[0] < 1 or any(a < 1 for a in runs):
@@ -134,7 +138,7 @@ def littelmann_valid(data: StringData | Sequence[int], cartan: Rank2Cartan) -> b
     a_{j+2} * beta_j <= a_{j+1} * beta_{j+1} componentwise, for every j
     with 1 <= j <= L-2.  Length <= 2 is always valid.
     """
-    runs = tuple(data.runs if isinstance(data, StringData) else data)
+    runs = _runs(data)
     L = len(runs)
     if L <= 2:
         return True

@@ -207,6 +207,31 @@ def test_stats_smallest(capsys):
     )
 
 
+def test_stats_rejects_bad_chunk(capsys, monkeypatch):
+    # a chunk that slipped past the check would reach the sampling loop,
+    # which then fails here instead of looping forever
+    def no_sampling(*args):
+        raise RuntimeError("sampling started")
+
+    monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_sampling)
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "stats", "--k", "3", "--distance", "1", "--samples", "10", "--chunk", bad
+        )
+        assert code == 2, bad
+        assert out == "", bad
+        assert err == "error: chunk size must be positive\n", bad
+
+
+def test_bad_int_option_is_one_error_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--root", "4,3", "--theorem", "1", "--samples", "abc", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == "error: argument --samples: invalid int value: 'abc'\n"
+
+
 def test_root_parse_errors(capsys):
     for bad in ("4", "4,3,2", "a,b"):
         code, _, err = run_cli(capsys, "mult", "--root", bad)

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from rootbounds import counting
 from rootbounds import (
     FilterLevel,
     Rank2Cartan,
@@ -87,17 +88,40 @@ def test_bound_report_small(cartan3):
     assert (rep.dyck_total, rep.count_thm1, rep.count_thm2) == (1, 1, 1)
 
 
-def test_bound_report_listing(cartan3):
-    rep = bound_report((4, 3), cartan3, list_paths=True)
-    assert rep.paths_listed is not None
-    assert sorted(runs_to_word(d) for d in rep.paths_listed) == [
+def test_enumerate_cond2_listing(cartan3):
+    assert _words_at((4, 3), cartan3, FilterLevel.COND2) == [
         "1010100",
         "1011000",
         "1100100",
         "1110000",
     ]
-    with pytest.raises(ValueError):
-        bound_report((9, 8), cartan3, list_paths=True, list_limit=3)
+
+
+def test_dp_count_matches_enumeration():
+    for r in (3, 4, 5):
+        cartan = Rank2Cartan(r)
+        for total in range(2, 14):
+            for n in range(1, total):
+                m = total - n
+                if gcd(n, m) != 1:
+                    continue
+                for level in FilterLevel:
+                    assert counting._count(n, m, cartan, level) == enumerate_dyck(
+                        (n, m), cartan, level
+                    ), (r, n, m, level)
+
+
+def test_bound_report_checks_closed_form(cartan3, monkeypatch):
+    # a plain if, not an assert, so it also raises under python -O
+    monkeypatch.setattr(counting, "dyck_count", lambda n, m: dyck_count(n, m) + 1)
+    with pytest.raises(ArithmeticError):
+        bound_report((4, 3), cartan3)
+
+
+def test_staircase_bound2_exact_through_14(table3, cartan3):
+    for n in range(1, 15):
+        assert bound2((n + 1, n), cartan3) == table3.entry(Weight(n + 1, n))[1], n
+    assert bound2((16, 15), cartan3) - table3.entry(Weight(16, 15))[1] == 1
 
 
 def test_report_counts_nest(cartan3):

@@ -1,4 +1,4 @@
-from math import sqrt
+from math import gcd, sqrt
 
 import pytest
 from hypothesis import given
@@ -10,8 +10,29 @@ from rootbounds import (
     cond1,
     cond1_pair,
     cond2,
+    enumerate_dyck,
     passes_filters,
 )
+
+
+def _cond2_pairwise(runs, cartan):
+    """cond2 as stated: every pair (x, y) with 1 <= x <= y < k, in O(k^2)."""
+    k = len(runs) // 2
+    odd_ps = [0]
+    even_ps = [0]
+    for i in range(k):
+        odd_ps.append(odd_ps[-1] + runs[2 * i])
+        even_ps.append(even_ps[-1] + runs[2 * i + 1])
+    m = odd_ps[k]
+    n = even_ps[k]
+    r = cartan.r
+    for y in range(1, k):
+        num = even_ps[y]
+        for x in range(1, y + 1):
+            den = odd_ps[x - 1] + r * (even_ps[y] - even_ps[x - 1]) - (odd_ps[y + 1] - odd_ps[x])
+            if num * m > den * n:
+                return False
+    return True
 
 
 def test_cond1_pair_examples(cartan3):
@@ -49,6 +70,20 @@ def test_cond2_pinpoints_pairs(cartan3):
     den = cartan3.r * runs[1] - runs[2]
     assert (num, den) == (2, 1)
     assert num * m > den * n
+
+
+def test_cond2_matches_pairwise_reference():
+    for r in (3, 4):
+        cartan = Rank2Cartan(r)
+        for total in range(2, 13):
+            for n in range(1, total):
+                m = total - n
+                if gcd(n, m) != 1:
+                    continue
+                paths = []
+                enumerate_dyck((n, m), cartan, FilterLevel.DYCK, visit=paths.append)
+                for runs in paths:
+                    assert cond2(runs, cartan) == _cond2_pairwise(runs, cartan), (r, runs)
 
 
 def test_cond2_rejects_incomplete(cartan3):
