@@ -6,6 +6,16 @@ minimum of the weighted height profile is unique because the endpoint
 coordinates are coprime).  Estimation runs in fixed-size chunks, each with
 its own child RNG stream derived from (seed, chunk index), so results are
 bit-identical for a given (seed, samples, chunk) at any thread count.
+
+Only the draw touches every row at full cost.  An estimate first screens
+the unrotated words: a row holding, cyclically, a lone 1 followed by at
+least b1 zeros (b1 the shortest run that cond1_pair rejects after a run
+of 1) fails cond1 whatever its rotation, since the rotation cuts between
+a 0 and a 1, never inside those two runs.  Only unmarked rows are rotated
+and given the exact cond1 test and cond2.  The visit statistic at
+(k+1, k) rotates nothing: the weighted height there is (k + 1/2)*D + i/2
+for the +-1 walk D of the word, so the cut is the first minimum of D and
+the rotated walk is read off D on either side of it.
 """
 
 from __future__ import annotations
@@ -15,13 +25,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Optional
 
 import numpy as np
 
 from .core_lattice import Rank2Cartan, dyck_count
-from .stability_filters import FilterLevel, cond2
+from .stability_filters import FilterLevel, cond1_pair, cond2
 from .string_data import DyckPath, StringData, is_dyck
 
 DEFAULT_CHUNK = 1 << 16
@@ -166,17 +177,44 @@ def _row_runs(row: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.diff(np.concatenate(([-1], boundaries, [len(row) - 1]))))
 
 
+def _lone_one_limit(cartan: Rank2Cartan) -> int:
+    """The shortest run b that cond1_pair rejects after a run of 1; longer runs fail too."""
+    return next(b for b in count(2) if not cond1_pair(1, b, cartan))
+
+
+def _cond1_screen(W: np.ndarray, b1: int) -> np.ndarray:
+    """Rows of unrotated words that surely fail cond1.
+
+    A row is marked when, read cyclically, it holds a 0, then a 1, then
+    b1 zeros.  The rotation to the Dyck representative cuts between a 0
+    and a 1, so it splits neither that lone 1 from the zero run after it
+    nor the zero run itself: the rotated runs hold the consecutive pair
+    (1, b) with b >= b1.  Words shorter than the pattern are never marked.
+    """
+    B, N = W.shape
+    span = b1 + 2
+    if N < span:
+        return np.zeros(B, dtype=bool)
+    Z = np.empty((B, N + span - 1), dtype=bool)
+    np.equal(W, 0, out=Z[:, :N])
+    Z[:, N:] = Z[:, : span - 1]
+    hit = Z[:, :N] > Z[:, 1 : N + 1]  # a 0, then a 1
+    for j in range(2, span):
+        hit &= Z[:, j : N + j]
+    return hit.any(axis=1)
+
+
 def _estimate_chunk(args) -> int:
     n, m, r, level, seed, index, size = args
     rng = _chunk_rng(seed, index)
     base = np.zeros(n + m, dtype=np.int8)
     base[:m] = 1
     W = rng.permuted(np.tile(base, (size, 1)), axis=1)
-    R = _rotate_batch(W, n, m)
+    cartan = Rank2Cartan(r)
+    R = _rotate_batch(W[~_cond1_screen(W, _lone_one_limit(cartan))], n, m)
     ok = _cond1_pass_rows(R, r)
     if level is FilterLevel.COND1:
         return int(ok.sum())
-    cartan = Rank2Cartan(r)
     hits = 0
     for i in np.flatnonzero(ok):
         if cond2(_row_runs(R[i]), cartan):
@@ -231,6 +269,30 @@ def estimate_bound(
     )
 
 
+def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
+    """Points on y - x = distance of each rotated word to (k+1, k), N = 2k+1.
+
+    With D the +-1 walk of the word (1 up), the weighted height after i
+    letters is (k + 1/2)*D_i + i/2, and i/2 < k + 1/2, so the cut p is the
+    first argmin of D_0..D_{N-1}.  As D_N = D_0 - 1, that is the first
+    argmin q of D_1..D_N (q = N when p = 0).  The rotated walk visits
+    D_i - D_q for i > q and D_i - D_q - 1 for i <= q, plus its origin.
+    """
+    B, N = W.shape
+    # the walk stays within N of zero
+    dt = np.int16 if N < 2**15 else np.int32
+    D = np.cumsum(W, axis=1, dtype=dt)
+    D *= 2
+    D -= np.arange(1, N + 1, dtype=dt)
+    q = np.argmin(D, axis=1)
+    D -= np.take_along_axis(D, q[:, None], axis=1)
+    D -= np.arange(N) <= q[:, None]
+    counts = (D == distance).sum(axis=1)
+    if distance == 0:
+        counts += 1  # the origin sits on the main diagonal
+    return counts
+
+
 def visits_statistic(
     k: int,
     distance: int,
@@ -257,13 +319,9 @@ def visits_statistic(
         size = min(chunk, samples - done)
         rng = _chunk_rng(seed, index)
         W = rng.permuted(np.tile(base, (size, 1)), axis=1)
-        R = _rotate_batch(W, n, m)
-        diag = np.cumsum(np.where(R == 1, 1, -1).astype(np.int32), axis=1)
-        counts = (diag == distance).sum(axis=1)
-        if distance == 0:
-            counts = counts + 1  # the origin sits on the main diagonal
+        counts = _visit_counts(W, distance)
         total += int(counts.sum())
-        total_sq += int((counts.astype(np.int64) ** 2).sum())
+        total_sq += int((counts**2).sum())
         done += size
         index += 1
     mean = Fraction(total, samples)

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -8,14 +9,26 @@ import pytest
 from conftest import all_words
 from rootbounds import (
     FilterLevel,
+    Rank2Cartan,
     dyck_count,
     estimate_bound,
     is_dyck,
     sample_uniform_dyck,
     visits_statistic,
 )
-from rootbounds.sampler import _chunk_rng, _cond1_pass_rows, _rotate_batch, _row_runs
-from rootbounds.stability_filters import cond1
+from rootbounds.sampler import (
+    _chunk_rng,
+    _cond1_pass_rows,
+    _cond1_screen,
+    _estimate_chunk,
+    _lone_one_limit,
+    _rotate_batch,
+    _row_runs,
+    _sig6,
+    _sqrt_sig6,
+    _visit_counts,
+)
+from rootbounds.stability_filters import cond1, cond2
 
 
 def test_single_path_endpoint():
@@ -179,3 +192,115 @@ def test_visits_json_shape():
     assert payload["distance"] == 0
     assert payload["samples"] == "50"
     assert isinstance(payload["mean"], str)
+
+
+@pytest.mark.parametrize(
+    "weight, r, level, hits",
+    [
+        ((51, 50), 3, FilterLevel.COND1, 10),
+        ((50, 51), 3, FilterLevel.COND2, 7),
+        ((51, 50), 4, FilterLevel.COND2, 1851),
+    ],
+)
+def test_estimate_pinned_hits(weight, r, level, hits):
+    # seeded outputs pinned before the sampler's post-draw stages were rewritten
+    report = estimate_bound(weight, Rank2Cartan(r), level, samples=65536, seed=2026)
+    assert report.hits == hits
+
+
+def test_visits_pinned_outputs():
+    report = visits_statistic(k=300, distance=2, samples=20000, seed=3, chunk=16384)
+    assert report.to_json() == (
+        '{"distance":2,"k":300,"mean":"11.6007","samples":"20000",'
+        '"seed":"3","std_error":"0.0514361"}'
+    )
+    report = visits_statistic(k=100, distance=0, samples=20000, seed=3)
+    assert (report.mean, report.std_error) == ("3.9152", "0.0134224")
+
+
+def _unscreened_chunk(n, m, r, level, seed, index, size):
+    """The chunk counter before the cond1 screen: rotate every row."""
+    base = np.zeros(n + m, dtype=np.int8)
+    base[:m] = 1
+    W = _chunk_rng(seed, index).permuted(np.tile(base, (size, 1)), axis=1)
+    R = _rotate_batch(W, n, m)
+    ok = _cond1_pass_rows(R, r)
+    if level is FilterLevel.COND1:
+        return int(ok.sum())
+    cartan = Rank2Cartan(r)
+    return sum(cond2(_row_runs(R[i]), cartan) for i in np.flatnonzero(ok))
+
+
+def test_lone_one_limit():
+    assert [_lone_one_limit(Rank2Cartan(r)) for r in (3, 4, 5)] == [3, 4, 5]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_cond1_screen_marks_only_failing_words(r):
+    cartan = Rank2Cartan(r)
+    b1 = _lone_one_limit(cartan)
+    marked_any = False
+    for total in range(2, 13):
+        for m in range(1, total):
+            n = total - m
+            if gcd(n, m) != 1:
+                continue
+            W = np.array(list(all_words(n, m)), dtype=np.int8)
+            marked = _cond1_screen(W, b1)
+            if total < b1 + 2:
+                assert not marked.any(), (n, m)
+            R = _rotate_batch(W[marked], n, m)
+            for row in R:
+                assert not cond1(_row_runs(row), cartan), (n, m, row)
+            marked_any |= bool(marked.any())
+    assert marked_any
+
+
+@pytest.mark.parametrize("weight", [(51, 50), (16, 15), (4, 3), (1, 2), (2, 1)], ids=str)
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("level", [FilterLevel.COND1, FilterLevel.COND2], ids=str)
+def test_screened_chunk_matches_unscreened(weight, r, level):
+    # the small roots are shorter than the screen's pattern, so nothing is marked
+    args = (*weight, r, level, 2026, 1, 20000 if weight[0] > 10 else 2000)
+    assert _estimate_chunk(args) == _unscreened_chunk(*args)
+
+
+def _rotated_visit_counts(W, distance):
+    """The visit counter before the rotation-free form: rotate, then walk."""
+    B, N = W.shape
+    R = _rotate_batch(W, (N + 1) // 2, N // 2)
+    diag = np.cumsum(np.where(R == 1, 1, -1).astype(np.int32), axis=1)
+    counts = (diag == distance).sum(axis=1)
+    if distance == 0:
+        counts = counts + 1
+    return counts
+
+
+def _draw_visit_chunk(k, seed, index, size):
+    base = np.zeros(2 * k + 1, dtype=np.int8)
+    base[:k] = 1
+    return _chunk_rng(seed, index).permuted(np.tile(base, (size, 1)), axis=1)
+
+
+@pytest.mark.parametrize("distance", [0, 1, 2, 3])
+def test_visit_counts_match_rotation_on_all_words(distance):
+    for k in range(1, 7):
+        W = np.array(list(all_words(k + 1, k)), dtype=np.int8)
+        assert np.array_equal(_visit_counts(W, distance), _rotated_visit_counts(W, distance)), k
+
+
+@pytest.mark.parametrize("k", [200, 300])
+def test_visit_counts_match_rotation_on_draws(k):
+    W = _draw_visit_chunk(k, seed=3, index=0, size=4000)
+    for distance in (0, 1, 2, 5):
+        assert np.array_equal(_visit_counts(W, distance), _rotated_visit_counts(W, distance))
+
+
+def test_visits_wide_walk_matches_rotation():
+    # N = 32769 letters is past the int16 range, so the walk runs in int32
+    k = 16384
+    counts = _rotated_visit_counts(_draw_visit_chunk(k, seed=0, index=0, size=2), 0)
+    mean = Fraction(int(counts.sum()), 2)
+    variance = Fraction(int((counts**2).sum()), 2) - mean * mean
+    report = visits_statistic(k=k, distance=0, samples=2, seed=0)
+    assert (report.mean, report.std_error) == (_sig6(mean), _sqrt_sig6(variance / 2))
