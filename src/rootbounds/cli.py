@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .core_lattice import Rank2Cartan, Weight, classify, dyck_count
 from .counting import bound_report, enumerate_dyck
 from .peterson import MultiplicityTable
-from .sampler import DEFAULT_CHUNK, estimate_bound, visits_statistic
+from .sampler import DEFAULT_CHUNK, MAX_THREADS, estimate_bound, visits_statistic
 from .stability_filters import FilterLevel, cond1, cond2
 from .string_data import (
     is_dyck,
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_threads_arg,
         default=os.environ.get(THREADS_ENV, "1"),
-        help=f"worker threads (default ${THREADS_ENV} or 1); does not affect results",
+        help=f"worker threads, at most {MAX_THREADS} (default ${THREADS_ENV} or 1); "
+        "does not affect results",
     )
     p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK, help="samples per RNG chunk")
     p.set_defaults(fn=cmd_estimate)

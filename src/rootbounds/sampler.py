@@ -12,7 +12,8 @@ the unrotated words: a row holding, cyclically, a lone 1 followed by at
 least b1 zeros (b1 the shortest run that cond1_pair rejects after a run
 of 1) fails cond1 whatever its rotation, since the rotation cuts between
 a 0 and a 1, never inside those two runs.  Only unmarked rows are rotated
-and given the exact cond1 test and cond2.  The visit statistic at
+and given the exact cond1 test, and cond1's survivors are given cond2 in
+one dense pass over their padded run matrices.  The visit statistic at
 (k+1, k) rotates nothing: the weighted height there is (k + 1/2)*D + i/2
 for the +-1 walk D of the word, so the cut is the first minimum of D and
 the rotated walk is read off D on either side of it.
@@ -32,10 +33,14 @@ from typing import Optional
 import numpy as np
 
 from .core_lattice import Rank2Cartan, dyck_count
-from .stability_filters import FilterLevel, cond1_pair, cond2
+from .stability_filters import FilterLevel, cond1_pair, cond2_step
+from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
 from .string_data import DyckPath, StringData, is_dyck
 
 DEFAULT_CHUNK = 1 << 16
+# estimate_bound refuses more worker threads than this, so a typo in
+# --threads cannot start thousands of them
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -172,9 +177,42 @@ def _cond1_pass_rows(R: np.ndarray, r: int) -> np.ndarray:
     return passed
 
 
-def _row_runs(row: np.ndarray) -> tuple[int, ...]:
-    boundaries = np.flatnonzero(row[1:] != row[:-1])
-    return tuple(int(x) for x in np.diff(np.concatenate(([-1], boundaries, [len(row) - 1]))))
+def _cond2_pass_rows(R: np.ndarray, n: int, m: int, r: int) -> np.ndarray:
+    """cond2 over every row of rotated words to (n, m) at once.
+
+    Row b's runs fill row b of the pair matrices U (up runs) and V (right
+    runs); a row with fewer pairs than the widest is padded with zero
+    pairs, which are masked out.  With the exclusive prefix sums O, E and
+    low = min(m, f over the earlier pairs), f = 2*O + U - r*E, each pair
+    is decided by cond2_step, exactly as cond2 does it one row at a time.
+    """
+    B, N = R.shape
+    ends = np.empty((B, N), dtype=bool)
+    np.not_equal(R[:, 1:], R[:, :-1], out=ends[:, :-1])
+    ends[:, -1] = True
+    # each row ends a run at its last letter, so the gaps between run ends
+    # in the flattened matrix are the run lengths, row after row; a rotated
+    # word starts with 1 and ends with 0, so the runs pair up as (u, v)
+    at = np.flatnonzero(ends)
+    # |terms of cond2_step| <= 2*(r+1)*N^2; past int64, stay exact in Python ints
+    dt = np.int64 if 2 * (r + 1) * N * N < 2**63 else object
+    pairs = np.diff(at, prepend=-1).astype(dt).reshape(-1, 2)
+    row = at[0::2] // N
+    npairs = np.bincount(row, minlength=B)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    K = int(npairs.max())
+    U = np.zeros((B, K), dtype=dt)
+    V = np.zeros((B, K), dtype=dt)
+    U[row, col] = pairs[:, 0]
+    V[row, col] = pairs[:, 1]
+    O = np.cumsum(U, axis=1) - U
+    E = np.cumsum(V, axis=1) - V
+    low = np.empty((B, K), dtype=dt)
+    low[:, 0] = m
+    low[:, 1:] = np.minimum.accumulate(2 * O + U - r * E, axis=1)[:, :-1]
+    low = np.minimum(low, m)
+    pad = np.arange(K) >= npairs[:, None]
+    return (cond2_step(O, E, low, U, n, m, r) | pad).all(axis=1)
 
 
 def _lone_one_limit(cartan: Rank2Cartan) -> int:
@@ -213,13 +251,9 @@ def _estimate_chunk(args) -> int:
     cartan = Rank2Cartan(r)
     R = _rotate_batch(W[~_cond1_screen(W, _lone_one_limit(cartan))], n, m)
     ok = _cond1_pass_rows(R, r)
-    if level is FilterLevel.COND1:
+    if level is FilterLevel.COND1 or not ok.any():
         return int(ok.sum())
-    hits = 0
-    for i in np.flatnonzero(ok):
-        if cond2(_row_runs(R[i]), cartan):
-            hits += 1
-    return hits
+    return int(_cond2_pass_rows(R[ok], n, m, r).sum())
 
 
 def estimate_bound(
@@ -235,7 +269,9 @@ def estimate_bound(
 
     estimate = (hits / samples) * dyck_total, with the binomial standard
     error sqrt(p(1-p)/samples) * dyck_total; both reported to 6
-    significant digits as decimal strings.
+    significant digits as decimal strings.  Chunks run on at most
+    min(threads, number of chunks) threads; threads above MAX_THREADS
+    are refused.
     """
     n, m = weight
     if level not in (FilterLevel.COND1, FilterLevel.COND2):
@@ -244,13 +280,16 @@ def estimate_bound(
         raise ValueError("need at least one sample")
     if chunk < 1:
         raise ValueError("chunk size must be positive")
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
     total = dyck_count(n, m)  # also validates coprimality
     sizes = [chunk] * (samples // chunk)
     if samples % chunk:
         sizes.append(samples % chunk)
     jobs = [(n, m, cartan.r, level, seed, i, s) for i, s in enumerate(sizes)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(_estimate_chunk, jobs))
     else:
         hits = sum(map(_estimate_chunk, jobs))

@@ -32,7 +32,7 @@ from rootbounds import (
     word_to_runs,
 )
 from rootbounds.cli import main as cli_main
-from rootbounds.sampler import _rotate_batch, _row_runs
+from rootbounds.sampler import _rotate_batch
 
 
 def test_a01_worked_example_4_3(cartan3, table3):
@@ -144,7 +144,7 @@ def test_a09_rotation_fiber_sizes():
                 continue
             W = np.array(list(all_words(n, m)), dtype=np.int8)
             R = _rotate_batch(W, n, m)
-            fibers = Counter(_row_runs(row) for row in R)
+            fibers = Counter(word_to_runs(row).runs for row in R)
             assert len(fibers) == dyck_count(n, m), (n, m)
             assert set(fibers.values()) == {total}, (n, m)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rootbounds.cli import THREADS_ENV, build_parser, main
+from rootbounds.sampler import MAX_THREADS
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,6 +130,21 @@ def test_estimate_rejects_threads_below_one(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *_estimate_argv())
     assert code == 2
     assert "got 0" in err
+
+
+def test_estimate_rejects_threads_above_ceiling(capsys, monkeypatch, serial_pool):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    for bad in (MAX_THREADS + 1, 10**6):
+        code, out, err = run_cli(capsys, *_estimate_argv("--threads", str(bad)))
+        assert code == 2, bad
+        assert out == "", bad
+        assert err.startswith("error:") and err.count("\n") == 1, bad
+        assert f"at most {MAX_THREADS}" in err, bad
+    assert serial_pool == []
+    code, out, _ = run_cli(capsys, "estimate", "--root", "4,3", "--theorem", "1", "--samples",
+                           "40", "--seed", "0", "--chunk", "10", "--threads", str(MAX_THREADS))
+    assert code == 0 and '"hits":' in out
+    assert serial_pool == [4]
 
 
 def test_validate_word(capsys):

@@ -15,15 +15,17 @@ from rootbounds import (
     is_dyck,
     sample_uniform_dyck,
     visits_statistic,
+    word_to_runs,
 )
 from rootbounds.sampler import (
+    MAX_THREADS,
     _chunk_rng,
     _cond1_pass_rows,
     _cond1_screen,
+    _cond2_pass_rows,
     _estimate_chunk,
     _lone_one_limit,
     _rotate_batch,
-    _row_runs,
     _sig6,
     _sqrt_sig6,
     _visit_counts,
@@ -55,7 +57,7 @@ def test_rotation_fibers_follow_cycle_lemma():
                 continue
             W = np.array(list(all_words(n, m)), dtype=np.int8)
             R = _rotate_batch(W, n, m)
-            fibers = Counter(_row_runs(row) for row in R)
+            fibers = Counter(word_to_runs(row).runs for row in R)
             assert len(fibers) == dyck_count(n, m), (n, m)
             assert set(fibers.values()) == {total}, (n, m)
             for runs in fibers:
@@ -70,7 +72,7 @@ def test_sampling_is_uniform():
     base[:m] = 1
     W = rng.permuted(np.tile(base, (draws, 1)), axis=1)
     R = _rotate_batch(W, n, m)
-    counts = Counter(_row_runs(row) for row in R)
+    counts = Counter(word_to_runs(row).runs for row in R)
     assert len(counts) == 5
     expected = draws / 5
     four_sigma = 4 * (draws * 0.2 * 0.8) ** 0.5
@@ -88,7 +90,7 @@ def test_vectorized_cond1_matches_scalar(cartan3, cartan4):
     for cartan in (cartan3, cartan4):
         ok = _cond1_pass_rows(R, cartan.r)
         for i in range(len(R)):
-            assert bool(ok[i]) == cond1(_row_runs(R[i]), cartan), i
+            assert bool(ok[i]) == cond1(word_to_runs(R[i]).runs, cartan), i
 
 
 def test_estimate_on_certain_filter(cartan3):
@@ -119,6 +121,20 @@ def test_estimate_deterministic_across_threads(cartan3):
     one = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=1, **kwargs)
     four = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=4, **kwargs)
     assert one.to_json() == four.to_json()
+
+
+def test_estimate_pool_capped_at_chunk_count(cartan3, serial_pool):
+    kwargs = dict(samples=3000, seed=5, chunk=1000)
+    one = estimate_bound((16, 15), cartan3, FilterLevel.COND1, **kwargs)
+    for threads in (2, 3, MAX_THREADS):
+        report = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=threads, **kwargs)
+        assert report == one
+    assert serial_pool == [2, 3, 3]
+    estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=MAX_THREADS, samples=10, seed=0)
+    assert serial_pool == [2, 3, 3]  # one chunk runs on the calling thread
+    with pytest.raises(ValueError, match="at most"):
+        estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=MAX_THREADS + 1, **kwargs)
+    assert serial_pool == [2, 3, 3]
 
 
 def test_estimate_independent_of_chunk_count(cartan3):
@@ -228,7 +244,26 @@ def _unscreened_chunk(n, m, r, level, seed, index, size):
     if level is FilterLevel.COND1:
         return int(ok.sum())
     cartan = Rank2Cartan(r)
-    return sum(cond2(_row_runs(R[i]), cartan) for i in np.flatnonzero(ok))
+    return sum(cond2(word_to_runs(R[i]).runs, cartan) for i in np.flatnonzero(ok))
+
+
+# 2**62 takes the Python-int branch: its terms overflow int64
+@pytest.mark.parametrize("r", [3, 4, 5, 2**62], ids=["3", "4", "5", "2^62"])
+def test_cond2_batch_matches_scalar(r):
+    # every rotated word, not only cond1's survivors; a batch of all words
+    # of one type mixes run counts, so short rows are padded
+    cartan = Rank2Cartan(r)
+    types = [(n, total - n) for total in range(2, 15) for n in range(1, total)
+             if gcd(n, total - n) == 1]
+    assert {(2, 1), (1, 2)} <= set(types)
+    padded = 0
+    for n, m in types:
+        R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
+        runs = [word_to_runs(row).runs for row in R]
+        got = _cond2_pass_rows(R, n, m, r)
+        assert got.tolist() == [cond2(a, cartan) for a in runs], (n, m)
+        padded += len({len(a) for a in runs}) > 1
+    assert padded > len(types) // 2
 
 
 def test_lone_one_limit():
@@ -251,7 +286,7 @@ def test_cond1_screen_marks_only_failing_words(r):
                 assert not marked.any(), (n, m)
             R = _rotate_batch(W[marked], n, m)
             for row in R:
-                assert not cond1(_row_runs(row), cartan), (n, m, row)
+                assert not cond1(word_to_runs(row).runs, cartan), (n, m, row)
             marked_any |= bool(marked.any())
     assert marked_any
 
