@@ -1,17 +1,26 @@
 """Exact counts of rational Dyck paths under the stability filters.
 
 A path is built one run pair (up run, right run) at a time, and every
-filter is decided pair by pair: the diagonal caps the right run, cond1
-tests each new run against the one before it, and cond2's inequalities
-for a pair y are settled once the next up run is placed, through the
-running min of f(x) = O_{x-1} + O_x - r*E_{x-1}.  So a prefix matters
-only through its state (O, E, last right run, running min f), where O
-and E are the up and right steps placed so far; the parts a filter level
-does not test are held fixed, so the Dyck level keys on (O, E) alone.
+filter is decided run by run: the diagonal caps each right run, cond1
+caps each run by the one before it, and cond2's inequalities for a pair
+y are settled once the next up run is placed, through the running min
+of f(x) = O_{x-1} + O_x - r*E_{x-1}.  So a prefix matters only through
+(O, E, last run, running min f), where O and E are the up and right
+steps placed so far.
 
-One transition rule, _successors, serves two walks over these states: a
-layered dynamic program that counts (bound1, bound2, bound_report), and
-a depth-first lister that hands each path to a visitor (enumerate_dyck).
+Two independent routes walk these states.  enumerate_dyck lists each
+path depth first with _successors, which tests every run with
+cond1_pair and cond2_step.  _count, behind bound1, bound2 and
+bound_report, is a dynamic program over half-steps that tests no run:
+it reads the longest run each filter allows from cond1_limit and
+cond2_max_up.  An up half-step appends an up run, a right half-step a
+right run.  Two exact clamps merge states: the last run matters only
+through the cap it puts on the next run, and the running min only up to
+the value at which every cond2 test still ahead passes.  States sharing
+(O, E, running min) then differ only in their cap, so each such group
+walks its runs once.  A half-step adds to O, or keeps O and adds to E,
+so states are settled in order of O, whatever the number of pairs
+before them.
 """
 
 from __future__ import annotations
@@ -24,7 +33,14 @@ from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .core_lattice import Rank2Cartan, RootClass, Weight, classify, dyck_count
-from .stability_filters import FilterLevel, cond1_pair, cond2_low, cond2_step
+from .stability_filters import (
+    FilterLevel,
+    cond1_limits,
+    cond1_pair,
+    cond2_low,
+    cond2_max_up,
+    cond2_step,
+)
 
 Visitor = Callable[[tuple[int, ...]], None]
 State = tuple[int, int, int, int]
@@ -85,19 +101,62 @@ def _successors(
             yield u, v, (y, E + v, v if use1 else 0, next_low)
 
 
+def _runs_allowed(by_cap: dict[int, int], limit: int) -> Iterator[tuple[int, int]]:
+    """(run, ways) for every run some state of a group admits, longest first.
+
+    A state with cap c admits runs 1..min(c, limit), so ways sums the
+    states whose cap reaches the run, and the group walks its runs once.
+    """
+    caps = sorted(by_cap, reverse=True)
+    ways = 0
+    for cap, below in zip(caps, caps[1:] + [0]):
+        ways += by_cap[cap]
+        for run in range(min(cap, limit), below, -1):
+            yield run, ways
+
+
 def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
-    """Number of paths to (n, m) passing the filter, one layer per run pair."""
-    layer = {_start(m): 1}
+    """Number of paths to (n, m) passing the filter, by half-steps in order of O."""
+    r = cartan.r
+    use1 = level is not FilterLevel.DYCK
+    use2 = level is FilterLevel.COND2
+    size = n + m
+    # lim[a]: the longest run that may follow a run of a
+    lim = cond1_limits(size, r) if use1 else [size] * (size + 1)
+    # top[E]: a later cond2 test, at E' >= E right steps, places an up
+    # run with O' + u <= m, so it passes whenever low >= top[E'].  top
+    # falls with E when r*n >= m, so all lows at or above top[E] share
+    # one future and are merged into it; when r*n < m, top[E] >= m >= low.
+    top = [m - E * (r * n - m) // n for E in range(n)] if use2 else []
+    # ups[O] and mids[O] hold the prefixes with O up steps that end in a
+    # right run and in an up run, keyed by (E, running min), each a map
+    # from the cap on the next run to the number of prefixes
+    ups = [defaultdict(lambda: defaultdict(int)) for _ in range(m)]
+    mids = [defaultdict(lambda: defaultdict(int)) for _ in range(m)]
+    ups[0][0, m][m] = 1  # m as the min of f makes the first cond2 step hold
     total = 0
-    while layer:
-        following: defaultdict[State, int] = defaultdict(int)
-        for state, ways in layer.items():
-            for _, _, succ in _successors(state, n, m, cartan, level):
-                if succ is None:
-                    total += ways
-                else:
-                    following[succ] += ways
-        layer = following
+    for O in range(m):
+        up = ups[O]
+        room = m - O
+        for (E, low), by_cap in mids[O].items():
+            # the caps already hold every limit on a right run
+            for v, ways in _runs_allowed(by_cap, n):
+                F = E + v
+                up[F, min(low, top[F]) if use2 else low][min(lim[v], room)] += ways
+        for (E, low), by_cap in up.items():
+            limit = cond2_max_up(O, E, low, n, m, r) if use2 else m
+            for u, ways in _runs_allowed(by_cap, limit):
+                y = O + u
+                if y == m:
+                    if n - E <= lim[u]:  # the final right run is forced
+                        total += ways
+                    continue
+                # stay weakly above the diagonal, and leave a right step for later
+                vcap = min(y * n // m - E, n - E - 1, lim[u])
+                if vcap > 0:
+                    key = (E, min(cond2_low(low, O, E, u, r), top[E]) if use2 else low)
+                    mids[y][key][vcap] += ways
+        ups[O] = mids[O] = None
     return total
 
 

@@ -26,14 +26,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count
 from math import gcd
 from typing import Optional
 
 import numpy as np
 
 from .core_lattice import Rank2Cartan, dyck_count
-from .stability_filters import FilterLevel, cond1_pair, cond2_step
+from .stability_filters import FilterLevel, cond1_limit, cond1_limits, cond2_step
 from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
 from .string_data import DyckPath, StringData, is_dyck
 
@@ -151,8 +150,13 @@ def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _cond1_pass_rows(R: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized consecutive-run-ratio test over every row at once."""
+    """Vectorized consecutive-run-ratio test over every row at once.
+
+    Run b may follow run a when b <= cond1_limit(a, r); the limits are
+    looked up, clipped to the row length, so no product can overflow.
+    """
     B, N = R.shape
+    lim = np.array(cond1_limits(N, r), dtype=np.int64)
     change = R[:, 1:] != R[:, :-1]
     rows, cols = np.nonzero(change)
     passed = np.ones(B, dtype=bool)
@@ -163,16 +167,12 @@ def _cond1_pass_rows(R: np.ndarray, r: int) -> np.ndarray:
     same_row = rows[1:] == rows[:-1]
     prev[1:] = np.where(same_row, cols[:-1], -1)
     runlen = cols - prev  # all runs except each row's last
-    a = runlen[:-1]
-    b = runlen[1:]
-    bad = same_row & (b > a) & (a * a + b * b - r * a * b > 0)
+    bad = same_row & (runlen[1:] > lim[runlen[:-1]])
     passed[rows[:-1][bad]] = False
     is_last = np.empty(len(cols), dtype=bool)
     is_last[:-1] = ~same_row
     is_last[-1] = True
-    a = runlen[is_last]
-    b = (N - 1) - cols[is_last]
-    bad = (b > a) & (a * a + b * b - r * a * b > 0)
+    bad = (N - 1) - cols[is_last] > lim[runlen[is_last]]
     passed[rows[is_last][bad]] = False
     return passed
 
@@ -217,7 +217,7 @@ def _cond2_pass_rows(R: np.ndarray, n: int, m: int, r: int) -> np.ndarray:
 
 def _lone_one_limit(cartan: Rank2Cartan) -> int:
     """The shortest run b that cond1_pair rejects after a run of 1; longer runs fail too."""
-    return next(b for b in count(2) if not cond1_pair(1, b, cartan))
+    return cond1_limit(1, cartan.r) + 1
 
 
 def _cond1_screen(W: np.ndarray, b1: int) -> np.ndarray:

@@ -9,6 +9,7 @@ integer arithmetic so no floating point is involved anywhere.
 from __future__ import annotations
 
 import enum
+from math import isqrt
 from typing import Sequence
 
 from .core_lattice import Rank2Cartan
@@ -31,6 +32,20 @@ def cond1_pair(a: int, b: int, cartan: Rank2Cartan) -> bool:
     return b <= a or a * a + b * b - cartan.r * a * b <= 0
 
 
+def cond1_limit(a: int, r: int) -> int:
+    """The longest run b with cond1_pair(a, b): floor(a*(r + sqrt(r^2-4))/2).
+
+    sqrt(a^2*(r^2-4)) is irrational, so flooring it first leaves the
+    floor of the half-sum unchanged.
+    """
+    return (r * a + isqrt(a * a * (r * r - 4))) // 2
+
+
+def cond1_limits(size: int, r: int) -> list[int]:
+    """cond1_limit(a, r) for a = 0..size, clipped to size so a table of them needs no big ints."""
+    return [min(cond1_limit(a, r), size) for a in range(size + 1)]
+
+
 def cond1(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
     runs = _runs(data)
     return all(cond1_pair(runs[k], runs[k + 1], cartan) for k in range(len(runs) - 1))
@@ -45,6 +60,15 @@ def cond2_step(O: int, E: int, low: int, u: int, n: int, m: int, r: int) -> bool
     The right side only shrinks as u grows.
     """
     return E * m <= (low + r * E - O - u) * n
+
+
+def cond2_max_up(O: int, E: int, low: int, n: int, m: int, r: int) -> int:
+    """The longest up run u for which cond2_step(O, E, low, u, n, m, r) holds.
+
+    cond2_step reads u <= low + r*E - O - E*m/n, and u is an integer, so
+    u <= low + r*E - O - ceil(E*m/n); a result below 1 means no u passes.
+    """
+    return low + r * E - O + (-E * m) // n
 
 
 def cond2_low(low: int, O: int, E: int, u: int, r: int) -> int:

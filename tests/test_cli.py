@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,16 @@ def test_estimate_rejects_threads_above_ceiling(capsys, monkeypatch, serial_pool
     assert serial_pool == [4]
 
 
+def test_estimate_huge_r_returns_quickly(capsys):
+    # the lone-1 run limit is a closed form, not a search up to r
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "estimate", "--root", "16,15", "--theorem", "2", "--samples",
+                           "64", "--seed", "1", "--r", str(2**62))
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert json.loads(out)["hits"] == "64"  # at this r every path passes both conditions
+
+
 def test_validate_word(capsys):
     code, out, _ = run_cli(capsys, "validate", "--word", "1010001")
     assert code == 0
@@ -266,6 +277,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["multiplicity"] == "1"
+
+
+def _run_module(*flags_and_argv):
+    return subprocess.run([sys.executable, *flags_and_argv], capture_output=True, text=True)
+
+
+def test_optimized_python_gives_same_bound_output():
+    argv = ("-m", "rootbounds.cli", "bound", "--root", "11,10", "--theorem", "2")
+    outputs = []
+    for flags in ((), ("-O",)):
+        proc = _run_module(*flags, *argv)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        payload.pop("elapsed_seconds")
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["bound"] == "3630"
+
+
+_PLANTED_CLOSED_FORM = """
+import rootbounds.counting as counting
+from rootbounds import Rank2Cartan
+exact = counting.dyck_count
+counting.dyck_count = lambda n, m: exact(n, m) + 1
+print(__debug__)
+try:
+    counting.bound_report((11, 10), Rank2Cartan(3))
+except ArithmeticError as exc:
+    print("ArithmeticError:", exc)
+"""
+
+
+def test_optimized_python_keeps_closed_form_check():
+    proc = _run_module("-O", "-c", _PLANTED_CLOSED_FORM)
+    assert proc.returncode == 0, proc.stderr
+    debug, raised = proc.stdout.splitlines()
+    assert debug == "False"
+    assert raised.startswith("ArithmeticError:")
 
 
 def test_console_script_installed():

@@ -16,6 +16,7 @@ from rootbounds import (
     enumerate_dyck,
     passes_filters,
     runs_to_word,
+    weight_of,
 )
 
 
@@ -100,7 +101,7 @@ def test_enumerate_cond2_listing(cartan3):
 def test_dp_count_matches_enumeration():
     for r in (3, 4, 5):
         cartan = Rank2Cartan(r)
-        for total in range(2, 14):
+        for total in range(2, 19):
             for n in range(1, total):
                 m = total - n
                 if gcd(n, m) != 1:
@@ -122,6 +123,29 @@ def test_staircase_bound2_exact_through_14(table3, cartan3):
     for n in range(1, 15):
         assert bound2((n + 1, n), cartan3) == table3.entry(Weight(n + 1, n))[1], n
     assert bound2((16, 15), cartan3) - table3.entry(Weight(16, 15))[1] == 1
+
+
+# bound1 and bound2 for r = 3 at height 101, past reach of enumeration
+EXACT_AT_101 = {
+    (51, 50): (222353492804382998955415, 203934982560811752545593),
+    (50, 51): (339973940631812037269013, 204406347002239701460130),
+}
+
+
+@pytest.mark.parametrize("weight", list(EXACT_AT_101), ids=str)
+def test_exact_bounds_at_height_101(cartan3, weight):
+    rep = bound_report(weight, cartan3)
+    assert (rep.count_thm1, rep.count_thm2) == EXACT_AT_101[weight]
+    assert rep.dyck_total == dyck_count(*weight)
+
+
+def test_survivor_above_multiplicity_by_dp(table3, cartan3):
+    # test_unique_survivor_above_multiplicity without the enumeration: the
+    # extra path passes the tighter filter, and the DP counts one path above mult
+    survivor = (10, 3, 5, 13)
+    assert weight_of(survivor) == (16, 15)
+    assert passes_filters(survivor, cartan3, FilterLevel.COND2)
+    assert bound2((16, 15), cartan3) == table3.entry(Weight(16, 15))[1] + 1
 
 
 def test_report_counts_nest(cartan3):

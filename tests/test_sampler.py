@@ -267,7 +267,22 @@ def test_cond2_batch_matches_scalar(r):
 
 
 def test_lone_one_limit():
-    assert [_lone_one_limit(Rank2Cartan(r)) for r in (3, 4, 5)] == [3, 4, 5]
+    assert [_lone_one_limit(Rank2Cartan(r)) for r in (3, 4, 5, 2**62)] == [3, 4, 5, 2**62]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 2**62], ids=["3", "4", "5", "2^62"])
+def test_cond1_batch_matches_scalar(r):
+    # every rotated word; at r = 2**62 a product r*a*b would pass 2**63
+    cartan = Rank2Cartan(r)
+    types = [(n, total - n) for total in range(2, 15) for n in range(1, total)
+             if gcd(n, total - n) == 1]
+    verdicts = set()
+    for n, m in types:
+        R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
+        got = _cond1_pass_rows(R, r).tolist()
+        assert got == [cond1(word_to_runs(row).runs, cartan) for row in R], (n, m)
+        verdicts.update(got)
+    assert verdicts == ({True} if r == 2**62 else {True, False})
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])

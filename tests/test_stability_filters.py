@@ -13,6 +13,7 @@ from rootbounds import (
     enumerate_dyck,
     passes_filters,
 )
+from rootbounds.stability_filters import cond1_limit, cond2_max_up, cond2_step
 
 
 def _cond2_pairwise(runs, cartan):
@@ -126,3 +127,23 @@ def test_cond1_prefix_closed(cartan3):
     assert not cond1(bad, cartan3)
     assert not cond1(bad + (2, 2), cartan3)
     assert not cond1((4,) + bad, cartan3)
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_cond1_limit_matches_scan(r):
+    # cond1_pair passes b = 1..limit and nothing above; a run past r*a fails
+    cartan = Rank2Cartan(r)
+    for a in range(1, 61):
+        passing = [b for b in range(1, r * a + 2) if cond1_pair(a, b, cartan)]
+        assert passing == list(range(1, cond1_limit(a, r) + 1)), (a, r)
+
+
+def test_cond2_max_up_is_cond2_step_break_point():
+    for r in (3, 4, 5):
+        for n, m in [(1, 1), (4, 3), (3, 4), (7, 5), (5, 8), (16, 15)]:
+            for O in range(m + 1):
+                for E in range(n):
+                    for low in range(-r * n, m + 1):
+                        u = cond2_max_up(O, E, low, n, m, r)
+                        assert cond2_step(O, E, low, u, n, m, r), (r, n, m, O, E, low)
+                        assert not cond2_step(O, E, low, u + 1, n, m, r), (r, n, m, O, E, low)
