@@ -27,12 +27,10 @@ from .sampler import (
     EstimateReport,
     VisitsReport,
     estimate_bound,
-    sample_uniform_dyck,
     visits_statistic,
 )
 from .stability_filters import FilterLevel, cond1, cond1_pair, cond2, passes_filters
 from .string_data import (
-    DyckPath,
     StringData,
     count_valid_string_data,
     is_dyck,
@@ -47,7 +45,6 @@ __all__ = [
     "ALPHA0",
     "ALPHA1",
     "BoundReport",
-    "DyckPath",
     "EstimateReport",
     "FilterLevel",
     "MultiplicityTable",
@@ -79,7 +76,6 @@ __all__ = [
     "peterson_c",
     "positive_roots_up_to",
     "runs_to_word",
-    "sample_uniform_dyck",
     "simple_reflection",
     "visits_statistic",
     "weight_of",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, TextIO
 
-from .core_lattice import Rank2Cartan, RootClass, Weight, bilinear_form, classify, mobius
+from .core_lattice import Rank2Cartan, RootClass, Weight, bilinear_form, classify
 
 
 @dataclass
@@ -171,19 +171,6 @@ def multiplicity(weight, cartan: Rank2Cartan, table: Optional[MultiplicityTable]
     if table is None:
         table = MultiplicityTable(cartan)
     return table.entry(weight)[1]
-
-
-def _mobius_inversion_mult(weight, table: MultiplicityTable) -> int:
-    # direct Moebius form, used by tests to cross-check the tabled value
-    c0, c1 = weight
-    g = gcd(c0, c1)
-    acc = Fraction(0)
-    for d in range(1, g + 1):
-        if g % d == 0:
-            acc += Fraction(mobius(d), d) * table.entry(Weight(c0 // d, c1 // d))[0]
-    if acc.denominator != 1 or acc < 0:
-        raise ArithmeticError(f"Moebius inversion at {tuple(weight)} came out {acc}")
-    return int(acc)
 
 
 def positive_roots_up_to(

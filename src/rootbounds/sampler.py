@@ -7,16 +7,20 @@ coordinates are coprime).  Estimation runs in fixed-size chunks, each with
 its own child RNG stream derived from (seed, chunk index), so results are
 bit-identical for a given (seed, samples, chunk) at any thread count.
 
-Only the draw touches every row at full cost.  An estimate first screens
-the unrotated words: a row holding, cyclically, a lone 1 followed by at
+An estimate chunk is one pipeline: draw, screen, rotate, decode runs,
+cond1, cond2.  Only the draw touches every row at full cost.  The screen
+marks unrotated words that hold, cyclically, a lone 1 followed by at
 least b1 zeros (b1 the shortest run that cond1_pair rejects after a run
-of 1) fails cond1 whatever its rotation, since the rotation cuts between
-a 0 and a 1, never inside those two runs.  Only unmarked rows are rotated
-and given the exact cond1 test, and cond1's survivors are given cond2 in
-one dense pass over their padded run matrices.  The visit statistic at
-(k+1, k) rotates nothing: the weighted height there is (k + 1/2)*D + i/2
-for the +-1 walk D of the word, so the cut is the first minimum of D and
-the rotated walk is read off D on either side of it.
+of 1): they fail cond1 whatever their rotation, since the rotation cuts
+between a 0 and a 1, never inside those two runs.  Unmarked rows are
+rotated and their runs decoded once, into padded pair matrices of up and
+right runs.  cond1 compares every run with the limit table of the run
+before it; cond2 runs on cond1's survivors in one dense pass over the
+same matrices, with r clamped to 2m, past which every cond2 step holds.
+The visit statistic at (k+1, k) rotates nothing: the weighted height
+there is (k + 1/2)*D + i/2 for the +-1 walk D of the word, so the cut is
+the first minimum of D and the rotated walk is read off D on either side
+of it.
 """
 
 from __future__ import annotations
@@ -26,20 +30,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
-from typing import Optional
 
 import numpy as np
 
 from .core_lattice import Rank2Cartan, dyck_count
 from .stability_filters import FilterLevel, cond1_limit, cond1_limits, cond2_step
 from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
-from .string_data import DyckPath, StringData, is_dyck
 
 DEFAULT_CHUNK = 1 << 16
 # estimate_bound refuses more worker threads than this, so a typo in
 # --threads cannot start thousands of them
 MAX_THREADS = 64
+# the chunk plan refuses more chunks than this, so a tiny --chunk cannot
+# make estimate build, or stats loop over, a near-endless job list
+MAX_CHUNKS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,28 +116,28 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def sample_uniform_dyck(weight, rng: np.random.Generator) -> DyckPath:
-    """One exactly-uniform Dyck path to (n, m) = weight, gcd(m, n) = 1."""
-    n, m = weight
-    if gcd(m, n) != 1:
-        raise ValueError("uniform sampling requires a coprime endpoint")
-    N = n + m
-    base = np.zeros(N, dtype=np.int8)
+def _draw(n: int, m: int, seed: int, index: int, size: int) -> np.ndarray:
+    """Chunk `index` of the seeded stream: `size` uniformly shuffled words of m ones, n zeros."""
+    base = np.zeros(n + m, dtype=np.int8)
     base[:m] = 1
-    word = rng.permutation(base)
-    heights = np.empty(N, dtype=np.int64)
-    heights[0] = 0
-    np.cumsum(np.where(word == 1, n, -m)[: N - 1], out=heights[1:])
-    p = int(np.argmin(heights))
-    if int((heights == heights[p]).sum()) != 1:
-        raise ArithmeticError(f"cycle lemma: word to {(n, m)} has no unique lowest point")
-    rotated = np.roll(word, -p)
-    boundaries = np.flatnonzero(rotated[1:] != rotated[:-1])
-    runs = np.diff(np.concatenate(([-1], boundaries, [N - 1])))
-    path = DyckPath(StringData(tuple(int(a) for a in runs)), (n, m))
-    if not is_dyck(path.data):
-        raise ArithmeticError(f"rotated word to {(n, m)} is not a Dyck path")
-    return path
+    return _chunk_rng(seed, index).permuted(np.tile(base, (size, 1)), axis=1)
+
+
+def _chunk_sizes(samples: int, chunk: int) -> list[int]:
+    """The sizes of the chunks that draw `samples` rows, chunk index = position."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if chunk < 1:
+        raise ValueError("chunk size must be positive")
+    count = -(-samples // chunk)
+    if count > MAX_CHUNKS:
+        raise ValueError(
+            f"{samples} samples in chunks of {chunk} make {count} chunks, more than {MAX_CHUNKS}"
+        )
+    sizes = [chunk] * (samples // chunk)
+    if samples % chunk:
+        sizes.append(samples % chunk)
+    return sizes
 
 
 def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -149,42 +153,12 @@ def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.take_along_axis(W, idx, axis=1)
 
 
-def _cond1_pass_rows(R: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized consecutive-run-ratio test over every row at once.
+def _run_pairs(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of rotated words as padded int64 pair matrices U, V and their pad mask.
 
-    Run b may follow run a when b <= cond1_limit(a, r); the limits are
-    looked up, clipped to the row length, so no product can overflow.
-    """
-    B, N = R.shape
-    lim = np.array(cond1_limits(N, r), dtype=np.int64)
-    change = R[:, 1:] != R[:, :-1]
-    rows, cols = np.nonzero(change)
-    passed = np.ones(B, dtype=bool)
-    if len(cols) == 0:
-        return passed  # single-run rows (cannot happen for rotated paths with n,m >= 1)
-    prev = np.empty_like(cols)
-    prev[0] = -1
-    same_row = rows[1:] == rows[:-1]
-    prev[1:] = np.where(same_row, cols[:-1], -1)
-    runlen = cols - prev  # all runs except each row's last
-    bad = same_row & (runlen[1:] > lim[runlen[:-1]])
-    passed[rows[:-1][bad]] = False
-    is_last = np.empty(len(cols), dtype=bool)
-    is_last[:-1] = ~same_row
-    is_last[-1] = True
-    bad = (N - 1) - cols[is_last] > lim[runlen[is_last]]
-    passed[rows[is_last][bad]] = False
-    return passed
-
-
-def _cond2_pass_rows(R: np.ndarray, n: int, m: int, r: int) -> np.ndarray:
-    """cond2 over every row of rotated words to (n, m) at once.
-
-    Row b's runs fill row b of the pair matrices U (up runs) and V (right
-    runs); a row with fewer pairs than the widest is padded with zero
-    pairs, which are masked out.  With the exclusive prefix sums O, E and
-    low = min(m, f over the earlier pairs), f = 2*O + U - r*E, each pair
-    is decided by cond2_step, exactly as cond2 does it one row at a time.
+    Row b's up runs fill row b of U and its right runs row b of V; a row
+    with fewer pairs than the widest is padded with zero pairs, which the
+    mask marks.
     """
     B, N = R.shape
     ends = np.empty((B, N), dtype=bool)
@@ -194,24 +168,54 @@ def _cond2_pass_rows(R: np.ndarray, n: int, m: int, r: int) -> np.ndarray:
     # in the flattened matrix are the run lengths, row after row; a rotated
     # word starts with 1 and ends with 0, so the runs pair up as (u, v)
     at = np.flatnonzero(ends)
-    # |terms of cond2_step| <= 2*(r+1)*N^2; past int64, stay exact in Python ints
-    dt = np.int64 if 2 * (r + 1) * N * N < 2**63 else object
-    pairs = np.diff(at, prepend=-1).astype(dt).reshape(-1, 2)
+    pairs = np.diff(at, prepend=-1).reshape(-1, 2)
     row = at[0::2] // N
     npairs = np.bincount(row, minlength=B)
     col = np.arange(len(row)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
-    K = int(npairs.max())
-    U = np.zeros((B, K), dtype=dt)
-    V = np.zeros((B, K), dtype=dt)
+    K = int(npairs.max(initial=0))  # the screen can leave no rows
+    U = np.zeros((B, K), dtype=np.int64)
+    V = np.zeros((B, K), dtype=np.int64)
     U[row, col] = pairs[:, 0]
     V[row, col] = pairs[:, 1]
+    return U, V, np.arange(K) >= npairs[:, None]
+
+
+def _cond1_pass(U: np.ndarray, V: np.ndarray, N: int, r: int) -> np.ndarray:
+    """cond1 over every row of the pair matrices of words of length N.
+
+    Each run is at most the cond1_limit of the run before it, looked up in
+    a table clipped to N, so no product can overflow.  Zero padding passes
+    both tests: lim[0] = 0, and no run is negative.
+    """
+    lim = np.array(cond1_limits(N, r), dtype=np.int64)
+    return (V <= lim[U]).all(axis=1) & (U[:, 1:] <= lim[V[:, :-1]]).all(axis=1)
+
+
+def _cond2_pass_rows(
+    U: np.ndarray, V: np.ndarray, pad: np.ndarray, n: int, m: int, r: int
+) -> np.ndarray:
+    """cond2 over every row of the pair matrices of rotated words to (n, m).
+
+    With the exclusive prefix sums O, E and low = min(m, f over the earlier
+    pairs), f = 2*O + U - r*E, each pair is decided by cond2_step, exactly
+    as cond2 does it one row at a time; pad pairs are masked out.
+    """
+    # every step holds once r >= 2m, so r = 2m decides the same: past the
+    # first pair E >= 1, and each candidate f(x) + r*E of low + r*E is
+    # O_{x-1} + O_x + r*(E - E_{x-1}) >= r, so with O + u <= m the right
+    # factor is at least (r - m)*n >= m*n > E*m; the first pair reads
+    # 0 <= (m - u)*n
+    r = min(r, 2 * m)
+    N = n + m
+    # |terms of cond2_step| <= 2*(r+1)*N^2; past int64, stay exact in Python ints
+    if 2 * (r + 1) * N * N >= 2**63:
+        U, V = U.astype(object), V.astype(object)
     O = np.cumsum(U, axis=1) - U
     E = np.cumsum(V, axis=1) - V
-    low = np.empty((B, K), dtype=dt)
+    low = np.empty_like(U)
     low[:, 0] = m
     low[:, 1:] = np.minimum.accumulate(2 * O + U - r * E, axis=1)[:, :-1]
     low = np.minimum(low, m)
-    pad = np.arange(K) >= npairs[:, None]
     return (cond2_step(O, E, low, U, n, m, r) | pad).all(axis=1)
 
 
@@ -244,16 +248,13 @@ def _cond1_screen(W: np.ndarray, b1: int) -> np.ndarray:
 
 def _estimate_chunk(args) -> int:
     n, m, r, level, seed, index, size = args
-    rng = _chunk_rng(seed, index)
-    base = np.zeros(n + m, dtype=np.int8)
-    base[:m] = 1
-    W = rng.permuted(np.tile(base, (size, 1)), axis=1)
-    cartan = Rank2Cartan(r)
-    R = _rotate_batch(W[~_cond1_screen(W, _lone_one_limit(cartan))], n, m)
-    ok = _cond1_pass_rows(R, r)
+    W = _draw(n, m, seed, index, size)
+    R = _rotate_batch(W[~_cond1_screen(W, _lone_one_limit(Rank2Cartan(r)))], n, m)
+    U, V, pad = _run_pairs(R)
+    ok = _cond1_pass(U, V, n + m, r)
     if level is FilterLevel.COND1 or not ok.any():
         return int(ok.sum())
-    return int(_cond2_pass_rows(R[ok], n, m, r).sum())
+    return int(_cond2_pass_rows(U[ok], V[ok], pad[ok], n, m, r).sum())
 
 
 def estimate_bound(
@@ -270,22 +271,16 @@ def estimate_bound(
     estimate = (hits / samples) * dyck_total, with the binomial standard
     error sqrt(p(1-p)/samples) * dyck_total; both reported to 6
     significant digits as decimal strings.  Chunks run on at most
-    min(threads, number of chunks) threads; threads above MAX_THREADS
-    are refused.
+    min(threads, number of chunks) threads; threads above MAX_THREADS,
+    and more than MAX_CHUNKS chunks, are refused.
     """
     n, m = weight
     if level not in (FilterLevel.COND1, FilterLevel.COND2):
         raise ValueError("estimation targets the cond1 or cond2 filter")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if chunk < 1:
-        raise ValueError("chunk size must be positive")
+    sizes = _chunk_sizes(samples, chunk)
     if threads > MAX_THREADS:
         raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
     total = dyck_count(n, m)  # also validates coprimality
-    sizes = [chunk] * (samples // chunk)
-    if samples % chunk:
-        sizes.append(samples % chunk)
     jobs = [(n, m, cartan.r, level, seed, i, s) for i, s in enumerate(sizes)]
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -343,26 +338,13 @@ def visits_statistic(
     over uniform Dyck paths to (k+1, k).  Approaches 4*distance + 4 for
     large k.
     """
-    if k < 1 or distance < 0 or samples < 1:
-        raise ValueError("need k >= 1, distance >= 0, samples >= 1")
-    if chunk < 1:
-        raise ValueError("chunk size must be positive")
-    n, m = k + 1, k
-    base = np.zeros(n + m, dtype=np.int8)
-    base[:m] = 1
-    total = 0
-    total_sq = 0
-    done = 0
-    index = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        rng = _chunk_rng(seed, index)
-        W = rng.permuted(np.tile(base, (size, 1)), axis=1)
-        counts = _visit_counts(W, distance)
+    if k < 1 or distance < 0:
+        raise ValueError("need k >= 1 and distance >= 0")
+    total = total_sq = 0
+    for index, size in enumerate(_chunk_sizes(samples, chunk)):
+        counts = _visit_counts(_draw(k + 1, k, seed, index, size), distance)
         total += int(counts.sum())
         total_sq += int((counts**2).sum())
-        done += size
-        index += 1
     mean = Fraction(total, samples)
     variance = Fraction(total_sq, samples) - mean * mean
     return VisitsReport(

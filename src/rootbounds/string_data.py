@@ -12,24 +12,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, simple_reflection
+from .core_lattice import Rank2Cartan, Weight
 
 
 class StringData(NamedTuple):
     runs: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.runs)
-
 
 def _runs(data: StringData | Sequence[int]) -> tuple[int, ...]:
     return tuple(data.runs if isinstance(data, StringData) else data)
-
-
-class DyckPath(NamedTuple):
-    data: StringData
-    endpoint: tuple[int, int]  # (n, m) = (right steps, up steps)
 
 
 def _as_bits(word: Iterable) -> list[int]:
@@ -117,17 +108,6 @@ def littelmann_roots(cartan: Rank2Cartan, count: int) -> list[Weight]:
     for _ in range(count):
         out.append(Weight(*cur))
         prev, cur = cur, (cartan.r * cur[0] - prev[0], cartan.r * cur[1] - prev[1])
-    return out
-
-
-def _roots_by_reflection(cartan: Rank2Cartan, count: int) -> list[Weight]:
-    # reference construction: alpha0, s0(alpha1), s0 s1(alpha0), ...
-    out = []
-    for j in range(1, count + 1):
-        v = ALPHA0 if j % 2 == 1 else ALPHA1
-        for i in range(j - 2, -1, -1):
-            v = Weight(*simple_reflection(i % 2, v, cartan))
-        out.append(v)
     return out
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rootbounds.cli import THREADS_ENV, build_parser, main
-from rootbounds.sampler import MAX_THREADS
+from rootbounds.sampler import MAX_CHUNKS, MAX_THREADS
 
 DATA = Path(__file__).parent / "data"
 
@@ -250,6 +250,24 @@ def test_stats_rejects_bad_chunk(capsys, monkeypatch):
         assert err == "error: chunk size must be positive\n", bad
 
 
+def test_chunk_count_is_refused_before_sampling(capsys, monkeypatch, serial_pool):
+    # 10**12 chunks of one sample would be planned (estimate) or looped
+    # over (stats) in full; the plan is refused before any chunk is drawn
+    def no_sampling(*args):
+        raise RuntimeError("sampling started")
+
+    monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_sampling)
+    many = ("--samples", str(10**12), "--chunk", "1", "--seed", "0")
+    for argv in (("estimate", "--root", "4,3", "--theorem", "1", "--threads", "2", *many),
+                 ("stats", "--k", "3", "--distance", "1", *many)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv[0]
+        assert out == "", argv[0]
+        assert err == (f"error: {10**12} samples in chunks of 1 make {10**12} chunks, "
+                       f"more than {MAX_CHUNKS}\n"), argv[0]
+    assert serial_pool == []
+
+
 def test_bad_int_option_is_one_error_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--root", "4,3", "--theorem", "1", "--samples", "abc", "--seed", "0"])
@@ -328,3 +346,11 @@ def test_console_script_installed():
         "r": 3,
         "root": [2, 1],
     }
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry would otherwise fail only under `from rootbounds import *`
+    import rootbounds
+
+    assert [name for name in rootbounds.__all__ if not hasattr(rootbounds, name)] == []
+    assert len(set(rootbounds.__all__)) == len(rootbounds.__all__)

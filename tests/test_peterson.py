@@ -15,11 +15,24 @@ from rootbounds import (
     count_valid_string_data,
     export_csv,
     kostant_count,
+    mobius,
     multiplicity,
     peterson_c,
     positive_roots_up_to,
 )
-from rootbounds.peterson import _mobius_inversion_mult
+
+
+def _mobius_inversion_mult(weight, table: MultiplicityTable) -> int:
+    # direct Moebius form, to cross-check the tabled value
+    c0, c1 = weight
+    g = gcd(c0, c1)
+    acc = Fraction(0)
+    for d in range(1, g + 1):
+        if g % d == 0:
+            acc += Fraction(mobius(d), d) * table.entry(Weight(c0 // d, c1 // d))[0]
+    if acc.denominator != 1 or acc < 0:
+        raise ArithmeticError(f"Moebius inversion at {tuple(weight)} came out {acc}")
+    return int(acc)
 
 
 def test_c_base_and_small_values(cartan3, table3):

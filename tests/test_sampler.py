@@ -13,19 +13,22 @@ from rootbounds import (
     dyck_count,
     estimate_bound,
     is_dyck,
-    sample_uniform_dyck,
     visits_statistic,
     word_to_runs,
 )
 from rootbounds.sampler import (
+    MAX_CHUNKS,
     MAX_THREADS,
     _chunk_rng,
-    _cond1_pass_rows,
+    _chunk_sizes,
+    _cond1_pass,
     _cond1_screen,
     _cond2_pass_rows,
+    _draw,
     _estimate_chunk,
     _lone_one_limit,
     _rotate_batch,
+    _run_pairs,
     _sig6,
     _sqrt_sig6,
     _visit_counts,
@@ -34,17 +37,10 @@ from rootbounds.stability_filters import cond1, cond2
 
 
 def test_single_path_endpoint():
-    # (1,2) admits exactly one path, the word 110
-    rng = _chunk_rng(0, 0)
-    for _ in range(25):
-        path = sample_uniform_dyck((1, 2), rng)
-        assert path.data.runs == (2, 1)
-        assert path.endpoint == (1, 2)
-
-
-def test_sample_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        sample_uniform_dyck((2, 2), _chunk_rng(0, 0))
+    # (1,2) admits exactly one path, the word 110, whichever word is drawn
+    W = _draw(1, 2, seed=0, index=0, size=25)
+    assert {tuple(row) for row in W} == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+    assert _rotate_batch(W, 1, 2).tolist() == [[1, 1, 0]] * 25
 
 
 def test_rotation_fibers_follow_cycle_lemma():
@@ -67,30 +63,13 @@ def test_rotation_fibers_follow_cycle_lemma():
 def test_sampling_is_uniform():
     n, m = 4, 3
     draws = 100_000
-    rng = _chunk_rng(123, 0)
-    base = np.zeros(n + m, dtype=np.int8)
-    base[:m] = 1
-    W = rng.permuted(np.tile(base, (draws, 1)), axis=1)
-    R = _rotate_batch(W, n, m)
+    R = _rotate_batch(_draw(n, m, seed=123, index=0, size=draws), n, m)
     counts = Counter(word_to_runs(row).runs for row in R)
     assert len(counts) == 5
     expected = draws / 5
     four_sigma = 4 * (draws * 0.2 * 0.8) ** 0.5
     for runs, count in counts.items():
         assert abs(count - expected) < four_sigma, (runs, count)
-
-
-def test_vectorized_cond1_matches_scalar(cartan3, cartan4):
-    n, m = 9, 5
-    base = np.zeros(n + m, dtype=np.int8)
-    base[:m] = 1
-    rng = _chunk_rng(2, 0)
-    W = rng.permuted(np.tile(base, (500, 1)), axis=1)
-    R = _rotate_batch(W, n, m)
-    for cartan in (cartan3, cartan4):
-        ok = _cond1_pass_rows(R, cartan.r)
-        for i in range(len(R)):
-            assert bool(ok[i]) == cond1(word_to_runs(R[i]).runs, cartan), i
 
 
 def test_estimate_on_certain_filter(cartan3):
@@ -154,6 +133,15 @@ def test_estimate_argument_errors(cartan3):
         estimate_bound((4, 2), cartan3, FilterLevel.COND1, samples=10, seed=0)
     with pytest.raises(ValueError):
         estimate_bound((4, 3), cartan3, FilterLevel.COND1, samples=10, seed=0, chunk=0)
+
+
+def test_chunk_plan():
+    # estimate and stats share this plan; MAX_CHUNKS chunks are allowed, one more is not
+    assert _chunk_sizes(2500, 1000) == [1000, 1000, 500]
+    assert _chunk_sizes(10, 65536) == [10]
+    assert len(_chunk_sizes(MAX_CHUNKS, 1)) == MAX_CHUNKS
+    with pytest.raises(ValueError, match="more than"):
+        _chunk_sizes(MAX_CHUNKS + 1, 1)
 
 
 def test_report_json_shape(cartan3):
@@ -236,18 +224,16 @@ def test_visits_pinned_outputs():
 
 def _unscreened_chunk(n, m, r, level, seed, index, size):
     """The chunk counter before the cond1 screen: rotate every row."""
-    base = np.zeros(n + m, dtype=np.int8)
-    base[:m] = 1
-    W = _chunk_rng(seed, index).permuted(np.tile(base, (size, 1)), axis=1)
-    R = _rotate_batch(W, n, m)
-    ok = _cond1_pass_rows(R, r)
+    R = _rotate_batch(_draw(n, m, seed, index, size), n, m)
+    U, V, _ = _run_pairs(R)
+    ok = _cond1_pass(U, V, n + m, r)
     if level is FilterLevel.COND1:
         return int(ok.sum())
     cartan = Rank2Cartan(r)
     return sum(cond2(word_to_runs(R[i]).runs, cartan) for i in np.flatnonzero(ok))
 
 
-# 2**62 takes the Python-int branch: its terms overflow int64
+# at 2**62 the pass clamps r to 2m, where every step holds, so its terms stay in int64
 @pytest.mark.parametrize("r", [3, 4, 5, 2**62], ids=["3", "4", "5", "2^62"])
 def test_cond2_batch_matches_scalar(r):
     # every rotated word, not only cond1's survivors; a batch of all words
@@ -260,7 +246,7 @@ def test_cond2_batch_matches_scalar(r):
     for n, m in types:
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
         runs = [word_to_runs(row).runs for row in R]
-        got = _cond2_pass_rows(R, n, m, r)
+        got = _cond2_pass_rows(*_run_pairs(R), n, m, r)
         assert got.tolist() == [cond2(a, cartan) for a in runs], (n, m)
         padded += len({len(a) for a in runs}) > 1
     assert padded > len(types) // 2
@@ -272,17 +258,31 @@ def test_lone_one_limit():
 
 @pytest.mark.parametrize("r", [3, 4, 5, 2**62], ids=["3", "4", "5", "2^62"])
 def test_cond1_batch_matches_scalar(r):
-    # every rotated word; at r = 2**62 a product r*a*b would pass 2**63
+    # every rotated word; at r = 2**62 a product r*a*b would pass 2**63;
+    # a batch of all words of one type mixes run counts, so short rows are
+    # padded with zero pairs, which must pass
     cartan = Rank2Cartan(r)
     types = [(n, total - n) for total in range(2, 15) for n in range(1, total)
              if gcd(n, total - n) == 1]
     verdicts = set()
+    padded = 0
     for n, m in types:
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
-        got = _cond1_pass_rows(R, r).tolist()
-        assert got == [cond1(word_to_runs(row).runs, cartan) for row in R], (n, m)
+        runs = [word_to_runs(row).runs for row in R]
+        U, V, _ = _run_pairs(R)
+        got = _cond1_pass(U, V, n + m, r).tolist()
+        assert got == [cond1(a, cartan) for a in runs], (n, m)
         verdicts.update(got)
+        padded += len({len(a) for a in runs}) > 1
     assert verdicts == ({True} if r == 2**62 else {True, False})
+    assert padded > len(types) // 2
+
+
+def test_run_pairs_of_no_rows():
+    # the screen can mark every row of a chunk
+    U, V, pad = _run_pairs(np.zeros((0, 7), dtype=np.int8))
+    assert U.shape == V.shape == pad.shape == (0, 0)
+    assert _cond1_pass(U, V, 7, 3).shape == (0,)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -326,12 +326,6 @@ def _rotated_visit_counts(W, distance):
     return counts
 
 
-def _draw_visit_chunk(k, seed, index, size):
-    base = np.zeros(2 * k + 1, dtype=np.int8)
-    base[:k] = 1
-    return _chunk_rng(seed, index).permuted(np.tile(base, (size, 1)), axis=1)
-
-
 @pytest.mark.parametrize("distance", [0, 1, 2, 3])
 def test_visit_counts_match_rotation_on_all_words(distance):
     for k in range(1, 7):
@@ -341,7 +335,7 @@ def test_visit_counts_match_rotation_on_all_words(distance):
 
 @pytest.mark.parametrize("k", [200, 300])
 def test_visit_counts_match_rotation_on_draws(k):
-    W = _draw_visit_chunk(k, seed=3, index=0, size=4000)
+    W = _draw(k + 1, k, seed=3, index=0, size=4000)
     for distance in (0, 1, 2, 5):
         assert np.array_equal(_visit_counts(W, distance), _rotated_visit_counts(W, distance))
 
@@ -349,7 +343,7 @@ def test_visit_counts_match_rotation_on_draws(k):
 def test_visits_wide_walk_matches_rotation():
     # N = 32769 letters is past the int16 range, so the walk runs in int32
     k = 16384
-    counts = _rotated_visit_counts(_draw_visit_chunk(k, seed=0, index=0, size=2), 0)
+    counts = _rotated_visit_counts(_draw(k + 1, k, seed=0, index=0, size=2), 0)
     mean = Fraction(int(counts.sum()), 2)
     variance = Fraction(int((counts**2).sum()), 2) - mean * mean
     report = visits_statistic(k=k, distance=0, samples=2, seed=0)

@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rootbounds import (
+    ALPHA0,
+    ALPHA1,
     FilterLevel,
     Rank2Cartan,
     StringData,
@@ -14,14 +16,25 @@ from rootbounds import (
     littelmann_roots,
     littelmann_valid,
     runs_to_word,
+    simple_reflection,
     weight_of,
     word_to_runs,
 )
-from rootbounds.string_data import _roots_by_reflection
 
 from conftest import all_words
 
 bit_words = st.lists(st.integers(0, 1), max_size=30)
+
+
+def _roots_by_reflection(cartan: Rank2Cartan, count: int) -> list[Weight]:
+    # reference construction: alpha0, s0(alpha1), s0 s1(alpha0), ...
+    out = []
+    for j in range(1, count + 1):
+        v = ALPHA0 if j % 2 == 1 else ALPHA1
+        for i in range(j - 2, -1, -1):
+            v = Weight(*simple_reflection(i % 2, v, cartan))
+        out.append(v)
+    return out
 
 
 def canonical_runs():
@@ -176,5 +189,5 @@ def test_count_matches_kostant(c0, c1, r):
 
 def test_string_data_container():
     d = StringData((2, 1, 1, 3))
-    assert d.length == 4
+    assert len(d.runs) == 4
     assert d.runs == (2, 1, 1, 3)
