@@ -7,6 +7,17 @@ coordinates are coprime).  Estimation runs in fixed-size chunks, each with
 its own child RNG stream derived from (seed, chunk index), so results are
 bit-identical for a given (seed, samples, chunk) at any thread count.
 
+A chunk is drawn from its one generator in consecutive int64 sub-batches
+of at most SUB_BATCH_BYTES, and each sub-batch runs the whole pipeline
+before the next is drawn, so a chunk's memory stays at a few sub-batches
+whatever its size.  The rows are those of one permuted call over the
+whole chunk, and 8-byte items take numpy's fast swap path.  Words longer
+than MAX_LETTERS, whose single row would outgrow a sub-batch, are refused.
+Two threads run well under twice as fast: the draw,
+Generator.permuted(axis=1), holds the GIL for much of its time (a Python
+thread spinning beside it keeps about half its rate; beside axis=None,
+which draws another stream, its full rate), so threads contend for it.
+
 An estimate chunk is one pipeline: draw, screen, rotate, decode runs,
 cond1, cond2.  Only the draw touches every row at full cost.  The screen
 marks unrotated words that hold, cyclically, a lone 1 followed by at
@@ -26,6 +37,7 @@ of it.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -44,6 +56,12 @@ MAX_THREADS = 64
 # the chunk plan refuses more chunks than this, so a tiny --chunk cannot
 # make estimate build, or stats loop over, a near-endless job list
 MAX_CHUNKS = 1 << 20
+# a chunk is drawn and run through its pipeline in int64 sub-batches of at
+# most this many bytes, so its memory does not grow with the chunk size
+SUB_BATCH_BYTES = 1 << 20
+# estimate and stats refuse longer words, one row of which would outgrow a
+# sub-batch; it also keeps the dense cond2 pass inside int64
+MAX_LETTERS = SUB_BATCH_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -116,11 +134,25 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def _draw(n: int, m: int, seed: int, index: int, size: int) -> np.ndarray:
-    """Chunk `index` of the seeded stream: `size` uniformly shuffled words of m ones, n zeros."""
-    base = np.zeros(n + m, dtype=np.int8)
+def _sub_batches(n: int, m: int, seed: int, index: int, size: int) -> Iterator[np.ndarray]:
+    """Chunk `index` of the seeded stream, `size` uniformly shuffled words of m ones, n zeros.
+
+    The rows come as consecutive int64 sub-batches of at most
+    SUB_BATCH_BYTES.  permuted(axis=1) shuffles row after row from the
+    one generator, so the sub-batches concatenate to the rows of a single
+    call, and 8-byte items take numpy's fast swap path with the same stream.
+    """
+    base = np.zeros(n + m, dtype=np.int64)
     base[:m] = 1
-    return _chunk_rng(seed, index).permuted(np.tile(base, (size, 1)), axis=1)
+    rng = _chunk_rng(seed, index)
+    rows = SUB_BATCH_BYTES // base.nbytes  # at least 1: words are at most MAX_LETTERS long
+    for start in range(0, size, rows):
+        yield rng.permuted(np.tile(base, (min(rows, size - start), 1)), axis=1)
+
+
+def _check_letters(letters: int) -> None:
+    if letters > MAX_LETTERS:
+        raise ValueError(f"words of {letters} letters are more than {MAX_LETTERS}")
 
 
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
@@ -180,14 +212,18 @@ def _run_pairs(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, V, np.arange(K) >= npairs[:, None]
 
 
-def _cond1_pass(U: np.ndarray, V: np.ndarray, N: int, r: int) -> np.ndarray:
+def _cond1_table(N: int, r: int) -> np.ndarray:
+    """cond1_limits(N, r) as an int64 lookup table for _cond1_pass."""
+    return np.array(cond1_limits(N, r), dtype=np.int64)
+
+
+def _cond1_pass(U: np.ndarray, V: np.ndarray, lim: np.ndarray) -> np.ndarray:
     """cond1 over every row of the pair matrices of words of length N.
 
     Each run is at most the cond1_limit of the run before it, looked up in
-    a table clipped to N, so no product can overflow.  Zero padding passes
-    both tests: lim[0] = 0, and no run is negative.
+    lim = _cond1_table(N, r), clipped to N, so no product can overflow.
+    Zero padding passes both tests: lim[0] = 0, and no run is negative.
     """
-    lim = np.array(cond1_limits(N, r), dtype=np.int64)
     return (V <= lim[U]).all(axis=1) & (U[:, 1:] <= lim[V[:, :-1]]).all(axis=1)
 
 
@@ -206,10 +242,8 @@ def _cond2_pass_rows(
     # factor is at least (r - m)*n >= m*n > E*m; the first pair reads
     # 0 <= (m - u)*n
     r = min(r, 2 * m)
-    N = n + m
-    # |terms of cond2_step| <= 2*(r+1)*N^2; past int64, stay exact in Python ints
-    if 2 * (r + 1) * N * N >= 2**63:
-        U, V = U.astype(object), V.astype(object)
+    # |terms of cond2_step| <= 2*(r+1)*N^2 <= 4*N^3, and N <= MAX_LETTERS
+    # = 2^17 keeps that at most 2^53, well inside int64
     O = np.cumsum(U, axis=1) - U
     E = np.cumsum(V, axis=1) - V
     low = np.empty_like(U)
@@ -248,13 +282,17 @@ def _cond1_screen(W: np.ndarray, b1: int) -> np.ndarray:
 
 def _estimate_chunk(args) -> int:
     n, m, r, level, seed, index, size = args
-    W = _draw(n, m, seed, index, size)
-    R = _rotate_batch(W[~_cond1_screen(W, _lone_one_limit(Rank2Cartan(r)))], n, m)
-    U, V, pad = _run_pairs(R)
-    ok = _cond1_pass(U, V, n + m, r)
-    if level is FilterLevel.COND1 or not ok.any():
-        return int(ok.sum())
-    return int(_cond2_pass_rows(U[ok], V[ok], pad[ok], n, m, r).sum())
+    b1 = _lone_one_limit(Rank2Cartan(r))
+    lim = _cond1_table(n + m, r)
+    hits = 0
+    for W in _sub_batches(n, m, seed, index, size):
+        R = _rotate_batch(W[~_cond1_screen(W, b1)], n, m)
+        U, V, pad = _run_pairs(R)
+        ok = _cond1_pass(U, V, lim)
+        if level is FilterLevel.COND2 and ok.any():
+            ok = _cond2_pass_rows(U[ok], V[ok], pad[ok], n, m, r)
+        hits += int(ok.sum())
+    return hits
 
 
 def estimate_bound(
@@ -280,6 +318,7 @@ def estimate_bound(
     sizes = _chunk_sizes(samples, chunk)
     if threads > MAX_THREADS:
         raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
+    _check_letters(n + m)
     total = dyck_count(n, m)  # also validates coprimality
     jobs = [(n, m, cartan.r, level, seed, i, s) for i, s in enumerate(sizes)]
     workers = min(threads, len(jobs))
@@ -340,11 +379,13 @@ def visits_statistic(
     """
     if k < 1 or distance < 0:
         raise ValueError("need k >= 1 and distance >= 0")
+    _check_letters(2 * k + 1)
     total = total_sq = 0
     for index, size in enumerate(_chunk_sizes(samples, chunk)):
-        counts = _visit_counts(_draw(k + 1, k, seed, index, size), distance)
-        total += int(counts.sum())
-        total_sq += int((counts**2).sum())
+        for W in _sub_batches(k + 1, k, seed, index, size):
+            counts = _visit_counts(W, distance)
+            total += int(counts.sum())
+            total_sq += int((counts**2).sum())
     mean = Fraction(total, samples)
     variance = Fraction(total_sq, samples) - mean * mean
     return VisitsReport(

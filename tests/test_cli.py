@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rootbounds.cli import THREADS_ENV, build_parser, main
-from rootbounds.sampler import MAX_CHUNKS, MAX_THREADS
+from rootbounds.sampler import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,6 +266,29 @@ def test_chunk_count_is_refused_before_sampling(capsys, monkeypatch, serial_pool
         assert err == (f"error: {10**12} samples in chunks of 1 make {10**12} chunks, "
                        f"more than {MAX_CHUNKS}\n"), argv[0]
     assert serial_pool == []
+
+
+def test_long_words_are_refused_before_sampling(capsys, monkeypatch):
+    # one sub-batch holds at least one word, so a word is the one allocation
+    # the sub-batches do not bound; estimate would also count its Dyck
+    # paths first.  Words one letter over the cap come first, so nothing
+    # large is drawn if the refusal is missing.
+    def no_work(*args):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_work)
+    monkeypatch.setattr("rootbounds.sampler.dyck_count", no_work)
+    half = MAX_LETTERS // 2
+    for letters, argv in (
+        (MAX_LETTERS + 1, ("estimate", "--root", f"{half + 1},{half}", "--theorem", "1")),
+        (MAX_LETTERS + 1, ("stats", "--k", str(half), "--distance", "1")),
+        (2 * 10**9 + 1, ("estimate", "--root", f"{10**9 + 1},{10**9}", "--theorem", "2")),
+        (2 * 10**9 + 1, ("stats", "--k", str(10**9), "--distance", "0")),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--samples", "10", "--seed", "0")
+        assert code == 2, argv
+        assert out == "", argv
+        assert err == f"error: words of {letters} letters are more than {MAX_LETTERS}\n", argv
 
 
 def test_bad_int_option_is_one_error_line(capsys):

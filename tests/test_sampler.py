@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,7 @@ from rootbounds import (
     visits_statistic,
     word_to_runs,
 )
+from rootbounds import sampler
 from rootbounds.sampler import (
     MAX_CHUNKS,
     MAX_THREADS,
@@ -23,22 +25,28 @@ from rootbounds.sampler import (
     _chunk_sizes,
     _cond1_pass,
     _cond1_screen,
+    _cond1_table,
     _cond2_pass_rows,
-    _draw,
     _estimate_chunk,
     _lone_one_limit,
     _rotate_batch,
     _run_pairs,
     _sig6,
     _sqrt_sig6,
+    _sub_batches,
     _visit_counts,
 )
 from rootbounds.stability_filters import cond1, cond2
 
 
+def _whole_chunk(n, m, seed, index, size):
+    """Chunk `index` of the seeded stream in one matrix: its sub-batches, concatenated."""
+    return np.concatenate(list(_sub_batches(n, m, seed, index, size)))
+
+
 def test_single_path_endpoint():
     # (1,2) admits exactly one path, the word 110, whichever word is drawn
-    W = _draw(1, 2, seed=0, index=0, size=25)
+    W = _whole_chunk(1, 2, seed=0, index=0, size=25)
     assert {tuple(row) for row in W} == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
     assert _rotate_batch(W, 1, 2).tolist() == [[1, 1, 0]] * 25
 
@@ -63,7 +71,7 @@ def test_rotation_fibers_follow_cycle_lemma():
 def test_sampling_is_uniform():
     n, m = 4, 3
     draws = 100_000
-    R = _rotate_batch(_draw(n, m, seed=123, index=0, size=draws), n, m)
+    R = _rotate_batch(_whole_chunk(n, m, seed=123, index=0, size=draws), n, m)
     counts = Counter(word_to_runs(row).runs for row in R)
     assert len(counts) == 5
     expected = draws / 5
@@ -142,6 +150,50 @@ def test_chunk_plan():
     assert len(_chunk_sizes(MAX_CHUNKS, 1)) == MAX_CHUNKS
     with pytest.raises(ValueError, match="more than"):
         _chunk_sizes(MAX_CHUNKS + 1, 1)
+
+
+@pytest.mark.parametrize("weight", [(1, 2), (16, 15), (51, 50), (201, 200)], ids=str)
+@pytest.mark.parametrize("rows", [1, 3, 7, None], ids=["1", "3", "7", "default"])
+def test_sub_batches_match_single_draw(weight, rows, monkeypatch):
+    # the int64 sub-batches of a chunk are the rows of one int8 draw of the
+    # whole chunk from the same stream; 1000 rows leave a short last batch
+    n, m = weight
+    size = 1000
+    if rows is None:
+        rows = sampler.SUB_BATCH_BYTES // (8 * (n + m))
+    else:
+        monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", rows * 8 * (n + m))
+    batches = list(_sub_batches(n, m, 2026, 4, size))
+    assert [len(W) for W in batches] == [rows] * (size // rows) + [size % rows] * (size % rows > 0)
+    assert all(W.dtype == np.int64 for W in batches)
+    base = np.zeros(n + m, dtype=np.int8)
+    base[:m] = 1
+    one = _chunk_rng(2026, 4).permuted(np.tile(base, (size, 1)), axis=1)
+    assert np.array_equal(np.concatenate(batches), one)
+
+
+def _traced_peak(job):
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("job", ["cond1", "cond2", "visits"])
+def test_chunk_memory_is_bounded(job):
+    # a chunk runs in sub-batches, so its peak allocation stays at a few MB
+    # whatever its size (a whole 65,536-row chunk at (201,200) took 75 MB)
+    def run(size):
+        if job == "visits":
+            return lambda: visits_statistic(k=200, distance=1, samples=size, seed=1, chunk=size)
+        level = FilterLevel.COND1 if job == "cond1" else FilterLevel.COND2
+        return lambda: _estimate_chunk((201, 200, 3, level, 1, 0, size))
+
+    small, big = (_traced_peak(run(size)) for size in (8192, 65536))
+    assert max(small, big) < 6 * 2**20, (small, big)
+    assert big < small + 2**20, (small, big)
 
 
 def test_report_json_shape(cartan3):
@@ -224,9 +276,9 @@ def test_visits_pinned_outputs():
 
 def _unscreened_chunk(n, m, r, level, seed, index, size):
     """The chunk counter before the cond1 screen: rotate every row."""
-    R = _rotate_batch(_draw(n, m, seed, index, size), n, m)
+    R = _rotate_batch(_whole_chunk(n, m, seed, index, size), n, m)
     U, V, _ = _run_pairs(R)
-    ok = _cond1_pass(U, V, n + m, r)
+    ok = _cond1_pass(U, V, _cond1_table(n + m, r))
     if level is FilterLevel.COND1:
         return int(ok.sum())
     cartan = Rank2Cartan(r)
@@ -270,7 +322,7 @@ def test_cond1_batch_matches_scalar(r):
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
         runs = [word_to_runs(row).runs for row in R]
         U, V, _ = _run_pairs(R)
-        got = _cond1_pass(U, V, n + m, r).tolist()
+        got = _cond1_pass(U, V, _cond1_table(n + m, r)).tolist()
         assert got == [cond1(a, cartan) for a in runs], (n, m)
         verdicts.update(got)
         padded += len({len(a) for a in runs}) > 1
@@ -282,7 +334,7 @@ def test_run_pairs_of_no_rows():
     # the screen can mark every row of a chunk
     U, V, pad = _run_pairs(np.zeros((0, 7), dtype=np.int8))
     assert U.shape == V.shape == pad.shape == (0, 0)
-    assert _cond1_pass(U, V, 7, 3).shape == (0,)
+    assert _cond1_pass(U, V, _cond1_table(7, 3)).shape == (0,)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -335,7 +387,7 @@ def test_visit_counts_match_rotation_on_all_words(distance):
 
 @pytest.mark.parametrize("k", [200, 300])
 def test_visit_counts_match_rotation_on_draws(k):
-    W = _draw(k + 1, k, seed=3, index=0, size=4000)
+    W = _whole_chunk(k + 1, k, seed=3, index=0, size=4000)
     for distance in (0, 1, 2, 5):
         assert np.array_equal(_visit_counts(W, distance), _rotated_visit_counts(W, distance))
 
@@ -343,7 +395,7 @@ def test_visit_counts_match_rotation_on_draws(k):
 def test_visits_wide_walk_matches_rotation():
     # N = 32769 letters is past the int16 range, so the walk runs in int32
     k = 16384
-    counts = _rotated_visit_counts(_draw(k + 1, k, seed=0, index=0, size=2), 0)
+    counts = _rotated_visit_counts(_whole_chunk(k + 1, k, seed=0, index=0, size=2), 0)
     mean = Fraction(int(counts.sum()), 2)
     variance = Fraction(int((counts**2).sum()), 2) - mean * mean
     report = visits_statistic(k=k, distance=0, samples=2, seed=0)
