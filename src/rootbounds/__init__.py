@@ -15,14 +15,7 @@ from .core_lattice import (
     simple_reflection,
 )
 from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
-from .peterson import (
-    MultiplicityTable,
-    export_csv,
-    kostant_count,
-    multiplicity,
-    peterson_c,
-    positive_roots_up_to,
-)
+from .peterson import MultiplicityTable, kostant_count, multiplicity
 from .sampler import (
     EstimateReport,
     VisitsReport,
@@ -65,7 +58,6 @@ __all__ = [
     "dyck_count",
     "enumerate_dyck",
     "estimate_bound",
-    "export_csv",
     "is_dyck",
     "kostant_count",
     "littelmann_roots",
@@ -73,8 +65,6 @@ __all__ = [
     "mobius",
     "multiplicity",
     "passes_filters",
-    "peterson_c",
-    "positive_roots_up_to",
     "runs_to_word",
     "simple_reflection",
     "visits_statistic",

@@ -86,8 +86,6 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_mult(args) -> int:
     root = _parse_root(args.root)
-    if root == (0, 0):
-        raise ValueError("zero weight has no multiplicity")
     cartan = Rank2Cartan(args.r)
     table = MultiplicityTable(cartan)
     _emit(

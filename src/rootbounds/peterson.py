@@ -1,5 +1,5 @@
-"""Exact root multiplicities via Peterson's recursion, plus the Kostant
-partition counter used as an independent cross-check of conventions.
+"""Exact root multiplicities via Peterson's recursion, and Kostant
+partition counts from the Weyl group alone, an independent check on them.
 
 Peterson's recursion (Kac, *Infinite-Dimensional Lie Algebras*, 11.13)
 fixes the rationals c_beta = sum over d | beta of mult(beta/d)/d through
@@ -15,18 +15,17 @@ recursion runs on Python ints with one checked exact division per cell.
 The summand is symmetric under beta' <-> beta'', so each pair is summed
 once, and the form is symmetric under (c0, c1) <-> (c1, c0), so a cell
 whose mirror is already filled is copied from it.  Fractions appear only
-in the table's entries, which entry() and peterson_c() hand out.
+in the table's entries, which entry() hands out.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, TextIO
+from typing import Optional
 
-from .core_lattice import Rank2Cartan, RootClass, Weight, bilinear_form, classify
+from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, simple_reflection
 
 
 @dataclass
@@ -149,87 +148,56 @@ class MultiplicityTable:
 
     def entry(self, weight) -> tuple[Fraction, int]:
         c0, c1 = weight
+        if c0 < 0 or c1 < 0 or (c0, c1) == (0, 0):
+            raise ValueError(f"multiplicity needs a nonzero nonnegative weight, got {(c0, c1)}")
         self.fill_box(c0, c1)
         return self.entries[Weight(c0, c1)]
 
 
-def peterson_c(weight, cartan: Rank2Cartan, table: Optional[MultiplicityTable] = None) -> Fraction:
-    """The recursion's auxiliary coefficient c_beta = sum_d mult(beta/d)/d."""
-    c0, c1 = weight
-    if (c0, c1) == (0, 0):
-        raise ValueError("c is defined for nonzero weights")
-    if table is None:
-        table = MultiplicityTable(cartan)
-    return table.entry(weight)[0]
-
-
 def multiplicity(weight, cartan: Rank2Cartan, table: Optional[MultiplicityTable] = None) -> int:
     """dim of the root space at the weight; 0 when the weight is not a root."""
-    c0, c1 = weight
-    if (c0, c1) == (0, 0):
-        raise ValueError("zero weight has no multiplicity")
     if table is None:
         table = MultiplicityTable(cartan)
     return table.entry(weight)[1]
 
 
-def positive_roots_up_to(
-    box, cartan: Rank2Cartan, table: Optional[MultiplicityTable] = None
-) -> list[tuple[Weight, int]]:
-    """All positive roots inside the lower box, with multiplicities."""
-    c0max, c1max = box
-    if table is None:
-        table = MultiplicityTable(cartan)
-    table.fill_box(c0max, c1max)
-    out = []
-    for c0 in range(c0max + 1):
-        for c1 in range(c1max + 1):
-            if (c0, c1) == (0, 0):
-                continue
-            m = table.entries[Weight(c0, c1)][1]
-            if m > 0:
-                out.append((Weight(c0, c1), m))
-    out.sort(key=lambda wm: (wm[0].height, wm[0].c0))
-    return out
-
-
-def kostant_count(weight, cartan: Rank2Cartan, table: Optional[MultiplicityTable] = None) -> int:
+def kostant_count(weight, cartan: Rank2Cartan) -> int:
     """Number of ways to write the weight as a multiset of positive roots
     (with root-space "colors"): the coefficient of the weight in
-    prod over roots of (1 - e^beta)^(-mult).  Dynamic programming over
-    the lower box.
+    prod over roots of (1 - e^beta)^(-mult).  Reads no multiplicity.
     """
     c0, c1 = weight
     if c0 < 0 or c1 < 0:
         raise ValueError("Kostant count needs a nonnegative weight")
-    if (c0, c1) == (0, 0):
-        return 1
-    grid = [[0] * (c1 + 1) for _ in range(c0 + 1)]
-    grid[0][0] = 1
-    for root, m in positive_roots_up_to(weight, cartan, table):
-        b0, b1 = root
-        # each factor (1 - e^root)^-1 is one pass of the geometric update
-        for _ in range(m):
-            for x in range(b0, c0 + 1):
-                row = grid[x]
-                prev = grid[x - b0]
-                for y in range(b1, c1 + 1):
-                    row[y] += prev[y - b1]
-    return grid[c0][c1]
+    return _kostant_grid(c0, c1, cartan)[c0][c1]
 
 
-def export_csv(table: MultiplicityTable, out: TextIO) -> None:
-    """Dump the filled box as CSV: c0, c1, norm, class, multiplicity."""
-    writer = csv.writer(out)
-    writer.writerow(["c0", "c1", "norm", "class", "multiplicity"])
-    for weight in sorted(table.entries, key=lambda w: (w.height, w.c0)):
-        _, m = table.entries[weight]
-        writer.writerow(
-            [
-                str(weight.c0),
-                str(weight.c1),
-                str(bilinear_form(weight, weight, table.cartan)),
-                classify(weight, table.cartan).value,
-                str(m),
-            ]
-        )
+def _kostant_grid(c0max: int, c1max: int, cartan: Rank2Cartan) -> list[list[int]]:
+    """Kostant counts K[x][y] over the lower box, from the Weyl group alone.
+
+    The Weyl-Kac denominator identity (Kac, 10.4) gives
+    prod (1 - e^beta)^mult = sum over w of eps(w) e^(rho - w rho), so
+    K(0) = 1 and K(gamma) = -sum over w != 1 of eps(w) K(gamma - (rho - w rho)).
+    """
+    # Every w != 1 lies on one of the two alternating chains s_i, s_j s_i,
+    # ...  The dot action mu -> s_i(mu) - alpha_i takes w.0 = w rho - rho
+    # to the next element's, and each step raises coordinate i of the
+    # shift rho - w rho, so a chain ends at its first shift outside the box.
+    terms = []
+    for first in (0, 1):
+        i, mu, sign = first, Weight(0, 0), 1
+        while True:
+            mu = Weight(*simple_reflection(i, mu, cartan)) - (ALPHA0, ALPHA1)[i]
+            i, sign = 1 - i, -sign
+            if -mu.c0 > c0max or -mu.c1 > c1max:
+                break
+            terms.append((-mu.c0, -mu.c1, sign))
+    K = [[0] * (c1max + 1) for _ in range(c0max + 1)]
+    K[0][0] = 1
+    for x in range(c0max + 1):
+        for y in range(c1max + 1):
+            if x or y:
+                K[x][y] = -sum(
+                    sign * K[x - a][y - b] for a, b, sign in terms if a <= x and b <= y
+                )
+    return K

@@ -15,7 +15,6 @@ import numpy as np
 from conftest import all_words
 from rootbounds import (
     FilterLevel,
-    MultiplicityTable,
     Rank2Cartan,
     Weight,
     bound1,
@@ -41,7 +40,7 @@ def test_a01_worked_example_4_3(cartan3, table3):
     assert len(words) == 35
     invalid = {w for w in words if not littelmann_valid(word_to_runs(w), cartan3)}
     assert invalid == {"0100011", "1010001", "1101000"}
-    assert len(words) - len(invalid) == 32 == kostant_count((4, 3), cartan3, table3)
+    assert len(words) - len(invalid) == 32 == kostant_count((4, 3), cartan3)
     report = bound_report((4, 3), cartan3)
     assert report.dyck_total == 5
     assert report.count_thm1 == 4
@@ -128,10 +127,9 @@ def test_a07_count_formula_vs_enumeration(cartan3):
 def test_a08_partition_count_vs_string_count():
     for r in (3, 4):
         cartan = Rank2Cartan(r)
-        table = MultiplicityTable(cartan)
         for c0 in range(13):
             for c1 in range(13 - c0):
-                assert kostant_count((c0, c1), cartan, table) == count_valid_string_data(
+                assert kostant_count((c0, c1), cartan) == count_valid_string_data(
                     (c0, c1), cartan
                 ), (r, c0, c1)
 

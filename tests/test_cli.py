@@ -220,6 +220,14 @@ def test_table_custom_with_guard(capsys):
     assert lines[2] == "2,15,11,23750,skipped,skipped,skipped,skipped"
 
 
+@pytest.mark.parametrize("roots", ["0,0", "3,2;0,0"])
+def test_table_custom_rejects_zero_weight(capsys, roots):
+    code, _, err = run_cli(capsys, "table", "--family", "custom", "--roots", roots)
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_table_custom_needs_roots(capsys):
     code, _, err = run_cli(capsys, "table", "--family", "custom")
     assert code == 2

@@ -1,7 +1,7 @@
-import io
 import random
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 import pytest
 
@@ -13,13 +13,11 @@ from rootbounds import (
     bilinear_form,
     classify,
     count_valid_string_data,
-    export_csv,
     kostant_count,
     mobius,
     multiplicity,
-    peterson_c,
-    positive_roots_up_to,
 )
+from rootbounds.peterson import _kostant_grid
 
 
 def _mobius_inversion_mult(weight, table: MultiplicityTable) -> int:
@@ -35,23 +33,50 @@ def _mobius_inversion_mult(weight, table: MultiplicityTable) -> int:
     return int(acc)
 
 
-def test_c_base_and_small_values(cartan3, table3):
-    assert peterson_c((1, 0), cartan3, table3) == 1
-    assert peterson_c((0, 1), cartan3, table3) == 1
-    assert peterson_c((1, 1), cartan3, table3) == 1
-    assert peterson_c((2, 0), cartan3, table3) == Fraction(1, 2)
+def _kostant_by_roots(weight, table: MultiplicityTable) -> int:
+    # the coefficient of prod (1 - e^beta)^(-mult) over the roots in
+    # Peterson's table: one geometric pass per unit of multiplicity
+    c0, c1 = weight
+    table.fill_box(c0, c1)
+    grid = [[0] * (c1 + 1) for _ in range(c0 + 1)]
+    grid[0][0] = 1
+    for (b0, b1), (_, m) in table.entries.items():
+        if b0 > c0 or b1 > c1:
+            continue
+        for _ in range(m):
+            for x in range(b0, c0 + 1):
+                row = grid[x]
+                prev = grid[x - b0]
+                for y in range(b1, c1 + 1):
+                    row[y] += prev[y - b1]
+    return grid[c0][c1]
 
 
-def test_c_is_a_fraction(cartan3, table3):
+def test_c_base_and_small_values(table3):
+    assert table3.entry((1, 0))[0] == 1
+    assert table3.entry((0, 1))[0] == 1
+    assert table3.entry((1, 1))[0] == 1
+    assert table3.entry((2, 0))[0] == Fraction(1, 2)
+
+
+def test_c_is_a_fraction(table3):
     for weight in ((1, 0), (2, 0), (4, 1), (12, 4), (16, 15)):
-        assert type(peterson_c(weight, cartan3, table3)) is Fraction, weight
+        assert type(table3.entry(weight)[0]) is Fraction, weight
 
 
 def test_c_rejects_zero_weight(cartan3, table3):
     with pytest.raises(ValueError):
-        peterson_c((0, 0), cartan3, table3)
+        table3.entry((0, 0))
     with pytest.raises(ValueError):
         multiplicity((0, 0), cartan3, table3)
+
+
+@pytest.mark.parametrize("weight", [(0, 0), (-1, 2), (2, -1)])
+def test_entry_rejects_zero_and_negative_weights(cartan3, weight):
+    with pytest.raises(ValueError):
+        MultiplicityTable(cartan3).entry(weight)
+    with pytest.raises(ValueError):
+        multiplicity(weight, cartan3)
 
 
 def test_vanishing_denominator_weights(cartan3, table3):
@@ -61,10 +86,10 @@ def test_vanishing_denominator_weights(cartan3, table3):
     # while (12,4) = 4*(3,1) keeps the divisor contribution of the real
     # root (3,1).
     assert bilinear_form((4, 1), (4, 1), cartan3) == 2 * 5
-    assert peterson_c((4, 1), cartan3, table3) == 0
+    assert table3.entry((4, 1))[0] == 0
     assert multiplicity((4, 1), cartan3, table3) == 0
     assert bilinear_form((12, 4), (12, 4), cartan3) == 2 * 16
-    assert peterson_c((12, 4), cartan3, table3) == Fraction(1, 4)
+    assert table3.entry((12, 4))[0] == Fraction(1, 4)
     assert multiplicity((12, 4), cartan3, table3) == 0
     assert multiplicity((4, 12), cartan3, table3) == 0
 
@@ -138,39 +163,66 @@ def test_mobius_inversion_rejects_non_integral_c(cartan3):
         _mobius_inversion_mult(Weight(1, 1), table)
 
 
-def test_positive_roots_up_to_examples(cartan3):
-    roots = positive_roots_up_to((1, 1), cartan3)
-    assert roots == [
-        (Weight(0, 1), 1),
-        (Weight(1, 0), 1),
-        (Weight(1, 1), 1),
-    ]
-    bigger = dict(positive_roots_up_to((3, 1), cartan3))
-    assert bigger[Weight(3, 1)] == 1
-    assert Weight(2, 0) not in bigger
-
-
 def test_kostant_examples(cartan3):
     assert kostant_count((4, 3), cartan3) == 32
     assert kostant_count((0, 0), cartan3) == 1
     assert kostant_count((1, 1), cartan3) == 2
+    # _kostant_by_roots agrees at (16,15) but takes seconds there
+    assert kostant_count((16, 15), cartan3) == 36609714
+    assert kostant_count((51, 50), cartan3) == 32500921467718579545377996
 
 
-def test_kostant_equals_string_count(cartan3, cartan4, table3, table4):
+def test_kostant_equals_root_product(cartan3, cartan4, table3, table4):
     for cartan, table in ((cartan3, table3), (cartan4, table4)):
+        for total in range(13):
+            for c0 in range(total + 1):
+                weight = (c0, total - c0)
+                assert kostant_count(weight, cartan) == _kostant_by_roots(weight, table), (
+                    cartan.r,
+                    weight,
+                )
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_peterson_box_equals_weyl_kostant(r):
+    # log prod (1 - e^beta)^(-mult) = sum c_beta e^beta, and applying the
+    # height operator gives h(gamma) K(gamma) = sum over 0 < beta <= gamma
+    # of h(beta) c_beta K(gamma - beta).  Built on Peterson's L*c grid, each
+    # K takes one exact division by L*h(gamma).  The Kostant grid reads no
+    # multiplicity, so this checks every Peterson entry of the box against
+    # the Weyl group.
+    n = 60
+    cartan = Rank2Cartan(r)
+    table = MultiplicityTable(cartan)
+    table.fill_box(n, n)
+    L = table._scale
+    hc = [[(b0 + b1) * c for b1, c in enumerate(row)] for b0, row in enumerate(table._c)]
+    K = [[0] * (n + 1) for _ in range(n + 1)]
+    K[0][0] = 1
+    for g0 in range(n + 1):
+        for g1 in range(n + 1):
+            if g0 or g1:
+                s = sum(sum(map(mul, hc[b0][: g1 + 1], K[g0 - b0][g1::-1])) for b0 in range(g0 + 1))
+                K[g0][g1], rem = divmod(s, L * (g0 + g1))
+                assert rem == 0, (r, g0, g1)
+    assert K == _kostant_grid(n, n, cartan)
+
+
+def test_kostant_equals_string_count(cartan3, cartan4):
+    for cartan in (cartan3, cartan4):
         for total in range(0, 11):
             for c0 in range(total + 1):
                 c1 = total - c0
-                assert kostant_count((c0, c1), cartan, table) == count_valid_string_data(
+                assert kostant_count((c0, c1), cartan) == count_valid_string_data(
                     (c0, c1), cartan
                 ), (cartan.r, c0, c1)
 
 
-def test_kostant_below_word_count(cartan3, table3):
+def test_kostant_below_word_count(cartan3):
     for total in range(1, 13):
         for c0 in range(total + 1):
             c1 = total - c0
-            assert kostant_count((c0, c1), cartan3, table3) <= comb(total, c0)
+            assert kostant_count((c0, c1), cartan3) <= comb(total, c0)
 
 
 def test_memoized_values_satisfy_recursion(cartan3, table3):
@@ -213,18 +265,3 @@ def test_growth_through_non_square_boxes_matches_fresh_fill(r):
     fresh.fill_box(20, 20)
     assert len(grown.entries) == 21 * 21 - 1
     assert grown.entries == fresh.entries
-
-
-def test_csv_export_roundtrip(cartan3):
-    table = MultiplicityTable(cartan3)
-    table.fill_box(4, 4)
-    buf = io.StringIO()
-    export_csv(table, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "c0,c1,norm,class,multiplicity"
-    rows = {tuple(map(int, ln.split(",")[:2])): ln.split(",") for ln in lines[1:]}
-    assert rows[(1, 1)][4] == "1"
-    assert rows[(1, 1)][3] == "imaginary"
-    assert rows[(1, 0)][3] == "real"
-    assert rows[(2, 0)][4] == "0"
-    assert len(lines) == 1 + 5 * 5 - 1  # every nonzero weight in the box
