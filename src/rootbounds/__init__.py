@@ -11,7 +11,6 @@ from .core_lattice import (
     bilinear_form,
     classify,
     dyck_count,
-    mobius,
     simple_reflection,
 )
 from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
@@ -62,7 +61,6 @@ __all__ = [
     "kostant_count",
     "littelmann_roots",
     "littelmann_valid",
-    "mobius",
     "multiplicity",
     "passes_filters",
     "runs_to_word",

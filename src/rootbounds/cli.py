@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from math import gcd
 from typing import Optional, Sequence
 
 from .core_lattice import Rank2Cartan, Weight, classify, dyck_count
@@ -182,6 +183,10 @@ def cmd_table(args) -> int:
         for n in range(1, args.max_n + 1):
             root = Weight(n + 1, n) if args.family == "staircase" else Weight(n, n + 1)
             rows.append((n, root))
+    for _, root in rows:
+        # checked before the header, so a failed table writes nothing
+        if min(root) < 1 or gcd(*root) != 1:
+            raise ValueError(f"table roots need coprime positive coordinates, got {tuple(root)}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "root_c0", "root_c1", "multiplicity", "bound1", "bound2", "gap1", "gap2"])
     for n, root in rows:

@@ -116,20 +116,3 @@ def dyck_count(n: int, m: int) -> int:
         raise ArithmeticError(f"binomial({m + n}, {n}) is not divisible by {m + n}")
     return q
 
-
-def mobius(d: int) -> int:
-    """Number-theoretic Moebius function."""
-    if d < 1:
-        raise ValueError("mobius is defined for positive integers")
-    result = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if d > 1:
-        result = -result
-    return result

@@ -60,3 +60,21 @@ def all_words(n_zeros: int, n_ones: int):
         for i in ones:
             word[i] = 1
         yield word
+
+
+def mobius(d: int) -> int:
+    """Number-theoretic Moebius function."""
+    if d < 1:
+        raise ValueError("mobius is defined for positive integers")
+    result = 1
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if d > 1:
+        result = -result
+    return result

@@ -220,10 +220,11 @@ def test_table_custom_with_guard(capsys):
     assert lines[2] == "2,15,11,23750,skipped,skipped,skipped,skipped"
 
 
-@pytest.mark.parametrize("roots", ["0,0", "3,2;0,0"])
+@pytest.mark.parametrize("roots", ["0,0", "3,2;0,0", "3,2;4,2", "3,2;5,0"])
 def test_table_custom_rejects_zero_weight(capsys, roots):
-    code, _, err = run_cli(capsys, "table", "--family", "custom", "--roots", roots)
+    code, out, err = run_cli(capsys, "table", "--family", "custom", "--roots", roots)
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
 
@@ -360,6 +361,28 @@ except ArithmeticError as exc:
 
 def test_optimized_python_keeps_closed_form_check():
     proc = _run_module("-O", "-c", _PLANTED_CLOSED_FORM)
+    assert proc.returncode == 0, proc.stderr
+    debug, raised = proc.stdout.splitlines()
+    assert debug == "False"
+    assert raised.startswith("ArithmeticError:")
+
+
+_PLANTED_SHIFT = """
+import rootbounds.peterson as peterson
+from rootbounds import MultiplicityTable, Rank2Cartan
+shifts = peterson._weyl_shifts
+peterson._weyl_shifts = lambda *box: list(shifts(*box))[1:]
+print(__debug__)
+try:
+    MultiplicityTable(Rank2Cartan(3)).fill_box(30, 30)
+except ArithmeticError as exc:
+    print("ArithmeticError:", exc)
+"""
+
+
+def test_optimized_python_keeps_multiplicity_check():
+    # the fill, with the shift (1,0) dropped, must still refuse its cells
+    proc = _run_module("-O", "-c", _PLANTED_SHIFT)
     assert proc.returncode == 0, proc.stderr
     debug, raised = proc.stdout.splitlines()
     assert debug == "False"

@@ -1,6 +1,7 @@
 from math import gcd, isqrt
 
 import pytest
+from conftest import mobius
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from rootbounds import (
     bilinear_form,
     classify,
     dyck_count,
-    mobius,
     simple_reflection,
 )
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from functools import cache
+from math import comb, gcd, lcm
 from operator import mul
 
 import pytest
+from conftest import mobius
 
 from rootbounds import (
     MultiplicityTable,
@@ -14,10 +16,64 @@ from rootbounds import (
     classify,
     count_valid_string_data,
     kostant_count,
-    mobius,
     multiplicity,
 )
 from rootbounds.peterson import _kostant_grid
+
+BOX = 60
+
+
+@cache
+def _peterson(r: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Peterson's recursion (Kac 11.13) over the lower box up to (BOX, BOX):
+    L and the grids L*c and mult, with L = lcm(1..BOX).
+
+    It fixes c_beta = sum over d | beta of mult(beta/d)/d through
+    ((beta|beta) - 2 height(beta)) c_beta = sum over beta' + beta'' = beta
+    of (beta'|beta'') c_beta' c_beta''.  The denominator of c_beta divides
+    gcd(beta), so every L*c is an integer and each cell takes one checked
+    exact division.  It shares nothing with the Weyl-shift fill in src/.
+    """
+    L = lcm(*range(1, BOX + 1))
+    C = [[0] * (BOX + 1) for _ in range(BOX + 1)]
+    M = [[0] * (BOX + 1) for _ in range(BOX + 1)]
+    C[1][0] = C[0][1] = L
+    M[1][0] = M[0][1] = 1
+    for a0 in range(BOX + 1):
+        for a1 in range(BOX + 1):
+            if a0 + a1 < 2:
+                continue
+            # Sum (b|a-b) C[b] C[a-b] over b < a - b (lexicographically) and
+            # double it; b = a/2, when a is even, pairs with itself and is
+            # added once.  b = 0 and b = a drop out because C[0][0] = 0.
+            half = 0
+            for b0 in range(a0 // 2 + 1):
+                e0 = a0 - b0
+                row_b, row_e = C[b0], C[e0]
+                for b1 in range(a1 + 1 if b0 < e0 else (a1 + 1) // 2):
+                    e1 = a1 - b1
+                    form = 2 * (b0 * e0 + b1 * e1) - r * (b0 * e1 + b1 * e0)
+                    half += form * row_b[b1] * row_e[e1]
+            num = 2 * half
+            if a0 % 2 == 0 and a1 % 2 == 0:
+                b0, b1 = a0 // 2, a1 // 2
+                num += (2 * (b0 * b0 + b1 * b1) - 2 * r * b0 * b1) * C[b0][b1] ** 2
+            denom = 2 * a0 * a0 + 2 * a1 * a1 - 2 * r * a0 * a1 - 2 * (a0 + a1)
+            g = gcd(a0, a1)
+            # L times the proper-divisor part sum over d | g, d > 1 of mult(a/d)/d
+            imprimitive = sum(L // d * M[a0 // d][a1 // d] for d in range(2, g + 1) if g % d == 0)
+            if denom == 0:
+                # norm = 2 height here, so the weight is not a root and the
+                # recursion reads 0 * c = numerator
+                assert num == 0, (r, a0, a1)
+                C[a0][a1] = imprimitive
+                continue
+            # num = denom * L * (L*c): the sum ran over products of two L*c
+            C[a0][a1], rem = divmod(num, L * denom)
+            assert rem == 0, (r, a0, a1)
+            M[a0][a1], rem = divmod(C[a0][a1] - imprimitive, L)
+            assert rem == 0 and M[a0][a1] >= 0, (r, a0, a1)
+    return L, C, M
 
 
 def _mobius_inversion_mult(weight, table: MultiplicityTable) -> int:
@@ -103,6 +159,11 @@ def test_multiplicity_examples(table3):
     assert table3.entry(Weight(4, 3))[1] == 4
 
 
+def test_multiplicity_at_height_201(cartan3):
+    # the value Peterson's recursion gave, above every box the tests fill with it
+    assert multiplicity((101, 100), cartan3) == 6192169510744850600697013974995481623319843171183
+
+
 def test_multiplicity_flip_symmetric(table3):
     for c0 in range(1, 13):
         for c1 in range(1, 13):
@@ -184,6 +245,20 @@ def test_kostant_equals_root_product(cartan3, cartan4, table3, table4):
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
+def test_peterson_box_equals_table(r):
+    # the Weyl-shift fill against Peterson's recursion, at every cell
+    L, C, M = _peterson(r)
+    table = MultiplicityTable(Rank2Cartan(r))
+    table.fill_box(BOX, BOX)
+    assert table.entries == {
+        Weight(a0, a1): (Fraction(C[a0][a1], L), M[a0][a1])
+        for a0 in range(BOX + 1)
+        for a1 in range(BOX + 1)
+        if a0 or a1
+    }
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
 def test_peterson_box_equals_weyl_kostant(r):
     # log prod (1 - e^beta)^(-mult) = sum c_beta e^beta, and applying the
     # height operator gives h(gamma) K(gamma) = sum over 0 < beta <= gamma
@@ -191,12 +266,10 @@ def test_peterson_box_equals_weyl_kostant(r):
     # K takes one exact division by L*h(gamma).  The Kostant grid reads no
     # multiplicity, so this checks every Peterson entry of the box against
     # the Weyl group.
-    n = 60
+    n = BOX
     cartan = Rank2Cartan(r)
-    table = MultiplicityTable(cartan)
-    table.fill_box(n, n)
-    L = table._scale
-    hc = [[(b0 + b1) * c for b1, c in enumerate(row)] for b0, row in enumerate(table._c)]
+    L, C, _ = _peterson(r)
+    hc = [[(b0 + b1) * c for b1, c in enumerate(row)] for b0, row in enumerate(C)]
     K = [[0] * (n + 1) for _ in range(n + 1)]
     K[0][0] = 1
     for g0 in range(n + 1):
@@ -255,9 +328,9 @@ def test_incremental_box_growth(cartan3):
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_growth_through_non_square_boxes_matches_fresh_fill(r):
-    # Each step lengthens the longest side, so L*c is rescaled; the second
-    # step fills cells such as (10,3) whose mirror (3,10) lies outside the
-    # (12,7) box, and (7,3) whose mirror was filled by the first step.
+    # Each step widens the box, so the fill finds shifts the smaller box
+    # did not hold; the second step fills cells such as (10,3) below the
+    # first box's rows, and the third both rows and columns beyond it.
     grown = MultiplicityTable(Rank2Cartan(r))
     for box in ((3, 7), (12, 5), (20, 20)):
         grown.fill_box(*box)
