@@ -1,6 +1,11 @@
 """Exact root multiplicities for rank-2 symmetric hyperbolic Kac-Moody
 algebras, with combinatorial upper bounds from filtered rational Dyck
-paths (exact counts and Monte-Carlo estimates)."""
+paths (exact counts and Monte-Carlo estimates).
+
+Only the Monte-Carlo names load numpy: EstimateReport, VisitsReport,
+estimate_bound and visits_statistic come from the sampler module, the one
+module that imports it, and are resolved on first use.
+"""
 
 from .core_lattice import (
     ALPHA0,
@@ -15,12 +20,6 @@ from .core_lattice import (
 )
 from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
 from .peterson import MultiplicityTable, kostant_count, multiplicity
-from .sampler import (
-    EstimateReport,
-    VisitsReport,
-    estimate_bound,
-    visits_statistic,
-)
 from .stability_filters import FilterLevel, cond1, cond1_pair, cond2, passes_filters
 from .string_data import (
     StringData,
@@ -69,3 +68,14 @@ __all__ = [
     "weight_of",
     "word_to_runs",
 ]
+
+_SAMPLER_NAMES = ("EstimateReport", "VisitsReport", "estimate_bound", "visits_statistic")
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER_NAMES:
+        from . import sampler
+
+        value = globals()[name] = getattr(sampler, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,12 @@ word diagnostics, and CSV accuracy tables.
 All results go to stdout as JSON (or CSV for tables); diagnostics and
 errors go to stderr.  Integers that could overflow a double-precision
 JSON reader are emitted as decimal strings.
+
+Only estimate and stats load numpy.  Their library functions live in
+sampler.py, the one module that imports it, and this module binds
+estimate_bound and visits_statistic on first use (module __getattr__).
+The two commands call them as attributes of this module, so a wrapper
+set on rootbounds.cli is the one that runs.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from typing import Optional, Sequence
 
 from .core_lattice import Rank2Cartan, Weight, classify, dyck_count
 from .counting import bound_report, enumerate_dyck
-from .peterson import MultiplicityTable
-from .sampler import DEFAULT_CHUNK, MAX_THREADS, estimate_bound, visits_statistic
+from .limits import DEFAULT_CHUNK, MAX_THREADS
+from .peterson import MultiplicityTable, check_box
 from .stability_filters import FilterLevel, cond1, cond2
 from .string_data import (
     is_dyck,
@@ -30,6 +36,21 @@ from .string_data import (
 )
 
 THREADS_ENV = "ROOTBOUNDS_THREADS"
+_SAMPLER_NAMES = ("estimate_bound", "visits_statistic")
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER_NAMES:
+        from . import sampler
+
+        value = globals()[name] = getattr(sampler, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _sampler_fn(name: str):
+    """The function bound at rootbounds.cli.<name>, loading the sampler on first use."""
+    return getattr(sys.modules[__name__], name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +72,10 @@ def _parse_root(text: str) -> Weight:
 
 def _parse_seed(text: str) -> int:
     # accepts decimal or hex (0x...) spellings
-    return int(text, 0)
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _threads_arg(text: str):
@@ -88,6 +112,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def cmd_mult(args) -> int:
     root = _parse_root(args.root)
     cartan = Rank2Cartan(args.r)
+    check_box(*root)
     table = MultiplicityTable(cartan)
     _emit(
         {
@@ -131,7 +156,7 @@ def cmd_bound(args) -> int:
 def cmd_estimate(args) -> int:
     root = _parse_root(args.root)
     cartan = Rank2Cartan(args.r)
-    report = estimate_bound(
+    report = _sampler_fn("estimate_bound")(
         root,
         cartan,
         _theorem_level(args.theorem),
@@ -168,25 +193,31 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _family_root(family: str, n: int) -> Weight:
+    return Weight(n + 1, n) if family == "staircase" else Weight(n, n + 1)
+
+
 def cmd_table(args) -> int:
     cartan = Rank2Cartan(args.r)
-    table = MultiplicityTable(cartan)
+    # every check comes before the table is allocated and the header is
+    # written, so a refused table writes nothing; the table grows one box
+    # over every row, and the ceiling is checked on that box
     if args.family == "custom":
         if not args.roots:
             raise ValueError("--family custom needs --roots 'c0,c1;c0,c1;...'")
         roots = [_parse_root(part) for part in args.roots.split(";")]
+        check_box(max(root.c0 for root in roots), max(root.c1 for root in roots))
         rows = list(enumerate(roots, start=1))
     else:
         if args.max_n < 1:
             raise ValueError("--max-n must be >= 1")
-        rows = []
-        for n in range(1, args.max_n + 1):
-            root = Weight(n + 1, n) if args.family == "staircase" else Weight(n, n + 1)
-            rows.append((n, root))
+        # the last root's box holds every earlier one
+        check_box(*_family_root(args.family, args.max_n))
+        rows = [(n, _family_root(args.family, n)) for n in range(1, args.max_n + 1)]
     for _, root in rows:
-        # checked before the header, so a failed table writes nothing
         if min(root) < 1 or gcd(*root) != 1:
             raise ValueError(f"table roots need coprime positive coordinates, got {tuple(root)}")
+    table = MultiplicityTable(cartan)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "root_c0", "root_c1", "multiplicity", "bound1", "bound2", "gap1", "gap2"])
     for n, root in rows:
@@ -203,7 +234,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = visits_statistic(
+    report = _sampler_fn("visits_statistic")(
         args.k, args.distance, samples=args.samples, seed=args.seed, chunk=args.chunk
     )
     print(report.to_json())

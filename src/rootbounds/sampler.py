@@ -32,6 +32,10 @@ The visit statistic at (k+1, k) rotates nothing: the weighted height
 there is (k + 1/2)*D + i/2 for the +-1 walk D of the word, so the cut is
 the first minimum of D and the rotated walk is read off D on either side
 of it.
+
+This is the one module of the package that imports numpy.  The package
+and the CLI load it on first use of a sampler name, so the exact commands
+never load numpy.
 """
 
 from __future__ import annotations
@@ -46,13 +50,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core_lattice import Rank2Cartan, dyck_count
+from .limits import DEFAULT_CHUNK, MAX_THREADS
 from .stability_filters import FilterLevel, cond1_limit, cond1_limits, cond2_step
 from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
 
-DEFAULT_CHUNK = 1 << 16
-# estimate_bound refuses more worker threads than this, so a typo in
-# --threads cannot start thousands of them
-MAX_THREADS = 64
 # the chunk plan refuses more chunks than this, so a tiny --chunk cannot
 # make estimate build, or stats loop over, a near-endless job list
 MAX_CHUNKS = 1 << 20

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -6,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import rootbounds.cli
+from rootbounds import Rank2Cartan
 from rootbounds.cli import THREADS_ENV, build_parser, main
+from rootbounds.peterson import MAX_CELLS, MultiplicityTable
 from rootbounds.sampler import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
 
 DATA = Path(__file__).parent / "data"
+PACKAGE = Path(rootbounds.cli.__file__).parent
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +305,62 @@ def test_long_words_are_refused_before_sampling(capsys, monkeypatch):
         assert err == f"error: words of {letters} letters are more than {MAX_LETTERS}\n", argv
 
 
+@pytest.mark.parametrize("argv", [
+    _estimate_argv()[:-2] + ("--seed", "-1"),
+    _estimate_argv()[:-2] + ("--seed=-0x2A",),
+    ("stats", "--k", "3", "--distance", "1", "--samples", "10", "--seed", "-5"),
+])
+def test_negative_seed_is_refused(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_work)
+    monkeypatch.setattr("rootbounds.sampler.dyck_count", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --seed: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, box", [
+    (("mult", "--root", "1024,1023"), (1024, 1023)),
+    (("mult", "--root", f"{10**9},1", "--r", "4"), (10**9, 1)),
+    (("table", "--family", "staircase", "--max-n", "1023"), (1024, 1023)),
+    (("table", "--family", "antistaircase", "--max-n", "1100"), (1100, 1101)),
+    # no row holds 1100 * 1100 cells, but the one table grows over both
+    (("table", "--family", "custom", "--roots", "1099,1;1,1099"), (1099, 1099)),
+])
+def test_runaway_boxes_are_refused_before_the_fill(capsys, monkeypatch, argv, box):
+    def no_fill(*args):
+        raise RuntimeError("fill started")
+
+    monkeypatch.setattr(MultiplicityTable, "fill_box", no_fill)
+    code, out, err = run_cli(capsys, *argv)
+    cells = (box[0] + 1) * (box[1] + 1)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the box up to {box} holds {cells} cells, more than {MAX_CELLS}\n"
+
+
+def test_library_fill_refuses_runaway_box(monkeypatch):
+    # the ceiling admits (801,800), the largest root whose fill was timed
+    assert (801 + 1) * (800 + 1) <= MAX_CELLS
+
+    def no_work(*args):
+        raise RuntimeError("fill started")
+
+    monkeypatch.setattr("rootbounds.peterson._weyl_shifts", no_work)
+    table = MultiplicityTable(Rank2Cartan(3))
+    with pytest.raises(ValueError, match="more than"):
+        table.fill_box(1024, 1023)
+    with pytest.raises(ValueError, match="more than"):
+        table.entry((10**9, 10**9))
+    assert len(table.entries) == 0
+
+
 def test_bad_int_option_is_one_error_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--root", "4,3", "--theorem", "1", "--samples", "abc", "--seed", "0"])
@@ -371,22 +432,27 @@ _PLANTED_SHIFT = """
 import rootbounds.peterson as peterson
 from rootbounds import MultiplicityTable, Rank2Cartan
 shifts = peterson._weyl_shifts
-peterson._weyl_shifts = lambda *box: list(shifts(*box))[1:]
 print(__debug__)
-try:
-    MultiplicityTable(Rank2Cartan(3)).fill_box(30, 30)
-except ArithmeticError as exc:
-    print("ArithmeticError:", exc)
+for dropped in ((1, 0, -1), (4, 1, 1)):
+    peterson._weyl_shifts = lambda *box: [s for s in shifts(*box) if s != dropped]
+    try:
+        MultiplicityTable(Rank2Cartan(3)).fill_box(30, 30)
+    except ArithmeticError as exc:
+        print("ArithmeticError:", exc)
 """
 
 
 def test_optimized_python_keeps_multiplicity_check():
-    # the fill, with the shift (1,0) dropped, must still refuse its cells
+    # the fill, with the shift (1,0) of sign -1 or the shift (4,1) of sign
+    # +1 dropped, must still refuse its cells
     proc = _run_module("-O", "-c", _PLANTED_SHIFT)
     assert proc.returncode == 0, proc.stderr
-    debug, raised = proc.stdout.splitlines()
+    debug, *raised = proc.stdout.splitlines()
     assert debug == "False"
-    assert raised.startswith("ArithmeticError:")
+    assert [line.split(")")[0] for line in raised] == [
+        "ArithmeticError: multiplicity at (1, 0",
+        "ArithmeticError: multiplicity at (4, 1",
+    ]
 
 
 def test_console_script_installed():
@@ -408,3 +474,62 @@ def test_public_names_resolve():
 
     assert [name for name in rootbounds.__all__ if not hasattr(rootbounds, name)] == []
     assert len(set(rootbounds.__all__)) == len(rootbounds.__all__)
+
+
+_NUMPY_PROBE = """
+import sys
+from rootbounds.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (("mult", "--root", "16,15"), False),
+    (("bound", "--root", "11,8", "--theorem", "2", "--list"), False),
+    (("table", "--family", "staircase", "--max-n", "3"), False),
+    (("validate", "--word", "1010001"), False),
+    (_estimate_argv(), True),
+    (("stats", "--k", "3", "--distance", "1", "--samples", "10"), True),
+])
+def test_only_sampling_commands_load_numpy(argv, loads_numpy):
+    proc = _run_module("-c", _NUMPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+def _imports_numpy(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_sampler_is_the_only_numpy_module():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if _imports_numpy(path)] == [
+        "sampler.py"
+    ]
+
+
+def test_commands_call_the_cli_module_attributes(capsys, monkeypatch):
+    # bench/tracing.py times the sampler by replacing these two attributes
+    calls = []
+
+    class Report:
+        def to_json(self):
+            return "patched"
+
+    def fake(name):
+        return lambda *args, **kwargs: calls.append(name) or Report()
+
+    for name in ("estimate_bound", "visits_statistic"):
+        monkeypatch.setattr(rootbounds.cli, name, fake(name))
+    for argv in (_estimate_argv(), ("stats", "--k", "3", "--distance", "1", "--samples", "10")):
+        assert run_cli(capsys, *argv) == (0, "patched\n", "")
+    assert calls == ["estimate_bound", "visits_statistic"]

@@ -18,9 +18,11 @@ from rootbounds import (
     kostant_count,
     multiplicity,
 )
-from rootbounds.peterson import _kostant_grid
+from rootbounds import peterson
+from rootbounds.peterson import _kostant_grid, _weyl_shifts
 
 BOX = 60
+SHIFTS_IN_BOX = [(r, shift) for r in (3, 4, 5) for shift in _weyl_shifts(BOX, BOX, Rank2Cartan(r))]
 
 
 @cache
@@ -256,6 +258,21 @@ def test_peterson_box_equals_table(r):
         for a1 in range(BOX + 1)
         if a0 or a1
     }
+
+
+@pytest.mark.parametrize(
+    "r, dropped", SHIFTS_IN_BOX, ids=[f"r{r}-{a},{b}" for r, (a, b, _) in SHIFTS_IN_BOX]
+)
+def test_fill_refuses_a_dropped_weyl_shift(monkeypatch, r, dropped):
+    # no fill with a shift missing may go through; the root-class check
+    # catches even the drops whose divisions all come out exact, at the
+    # dropped shift's own cell
+    monkeypatch.setattr(
+        peterson, "_weyl_shifts", lambda *box: [s for s in _weyl_shifts(*box) if s != dropped]
+    )
+    a, b, _ = dropped
+    with pytest.raises(ArithmeticError, match=rf"^multiplicity at \({a}, {b}\) "):
+        MultiplicityTable(Rank2Cartan(r)).fill_box(BOX, BOX)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
