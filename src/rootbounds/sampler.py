@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -154,6 +155,12 @@ def _sub_batches(n: int, m: int, seed: int, index: int, size: int) -> Iterator[n
 def _check_letters(letters: int) -> None:
     if letters > MAX_LETTERS:
         raise ValueError(f"words of {letters} letters are more than {MAX_LETTERS}")
+
+
+def _check_seed(seed) -> None:
+    # numpy's SeedSequence would refuse it only when the first chunk is drawn
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
@@ -314,6 +321,7 @@ def estimate_bound(
     and more than MAX_CHUNKS chunks, are refused.
     """
     n, m = weight
+    _check_seed(seed)
     if level not in (FilterLevel.COND1, FilterLevel.COND2):
         raise ValueError("estimation targets the cond1 or cond2 filter")
     sizes = _chunk_sizes(samples, chunk)
@@ -380,6 +388,7 @@ def visits_statistic(
     """
     if k < 1 or distance < 0:
         raise ValueError("need k >= 1 and distance >= 0")
+    _check_seed(seed)
     _check_letters(2 * k + 1)
     total = total_sq = 0
     for index, size in enumerate(_chunk_sizes(samples, chunk)):

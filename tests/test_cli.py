@@ -433,7 +433,7 @@ import rootbounds.peterson as peterson
 from rootbounds import MultiplicityTable, Rank2Cartan
 shifts = peterson._weyl_shifts
 print(__debug__)
-for dropped in ((1, 0, -1), (4, 1, 1)):
+for dropped in ((1, 0, -1), (4, 1, 1), (0, 1, -1)):
     peterson._weyl_shifts = lambda *box: [s for s in shifts(*box) if s != dropped]
     try:
         MultiplicityTable(Rank2Cartan(3)).fill_box(30, 30)
@@ -443,8 +443,9 @@ for dropped in ((1, 0, -1), (4, 1, 1)):
 
 
 def test_optimized_python_keeps_multiplicity_check():
-    # the fill, with the shift (1,0) of sign -1 or the shift (4,1) of sign
-    # +1 dropped, must still refuse its cells
+    # the fill, with the shift (1,0) of sign -1, the shift (4,1) of sign
+    # +1 or the shift (0,1) that runs along each row dropped, must still
+    # refuse its cells
     proc = _run_module("-O", "-c", _PLANTED_SHIFT)
     assert proc.returncode == 0, proc.stderr
     debug, *raised = proc.stdout.splitlines()
@@ -452,6 +453,7 @@ def test_optimized_python_keeps_multiplicity_check():
     assert [line.split(")")[0] for line in raised] == [
         "ArithmeticError: multiplicity at (1, 0",
         "ArithmeticError: multiplicity at (4, 1",
+        "ArithmeticError: multiplicity at (0, 1",
     ]
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
@@ -221,7 +222,8 @@ def test_mobius_inversion_agrees_with_table(table3):
 def test_mobius_inversion_rejects_non_integral_c(cartan3):
     table = MultiplicityTable(cartan3)
     table.fill_box(2, 2)
-    table.entries[Weight(1, 1)] = (Fraction(1, 2), 1)
+    # c = -F/h = 1/2 at (1,1), where h = 2
+    table._f[1][1] = -1
     with pytest.raises(ArithmeticError):
         _mobius_inversion_mult(Weight(1, 1), table)
 
@@ -271,6 +273,21 @@ def test_fill_refuses_a_dropped_weyl_shift(monkeypatch, r, dropped):
         peterson, "_weyl_shifts", lambda *box: [s for s in _weyl_shifts(*box) if s != dropped]
     )
     a, b, _ = dropped
+    with pytest.raises(ArithmeticError, match=rf"^multiplicity at \({a}, {b}\) "):
+        MultiplicityTable(Rank2Cartan(r)).fill_box(BOX, BOX)
+
+
+@pytest.mark.parametrize(
+    "r, flipped", SHIFTS_IN_BOX, ids=[f"r{r}-{a},{b}" for r, (a, b, _) in SHIFTS_IN_BOX]
+)
+def test_fill_refuses_a_sign_flipped_weyl_shift(monkeypatch, r, flipped):
+    # every shift's sign is read, the row pass's (0,1) included
+    a, b, sign = flipped
+    monkeypatch.setattr(
+        peterson,
+        "_weyl_shifts",
+        lambda *box: [(a, b, -sign) if s == flipped else s for s in _weyl_shifts(*box)],
+    )
     with pytest.raises(ArithmeticError, match=rf"^multiplicity at \({a}, {b}\) "):
         MultiplicityTable(Rank2Cartan(r)).fill_box(BOX, BOX)
 
@@ -355,3 +372,67 @@ def test_growth_through_non_square_boxes_matches_fresh_fill(r):
     fresh.fill_box(20, 20)
     assert len(grown.entries) == 21 * 21 - 1
     assert grown.entries == fresh.entries
+
+
+def test_fill_builds_no_fraction(monkeypatch, cartan3):
+    # c is built from F only when an entry is looked up
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(peterson, "Fraction", counted)
+    table = MultiplicityTable(cartan3)
+    table.fill_box(61, 61)
+    assert calls == []
+    for weight in ((1, 0), (12, 4), (61, 61)):
+        assert table.entry(weight)[0] == Fraction(*calls[-1])
+        assert len(calls) == 1, weight
+        calls.clear()
+
+
+def test_fill_memory_holds_only_the_grids(cartan3):
+    # the two integer grids of the box up to (201,200) take about 3 MiB
+    table = MultiplicityTable(cartan3)
+    tracemalloc.start()
+    try:
+        table.fill_box(201, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_entries_view_contract(cartan3):
+    table = MultiplicityTable(cartan3)
+    table.fill_box(7, 4)
+    view = table.entries
+    assert len(view) == 8 * 5 - 1
+    assert set(view) == {Weight(x, y) for x in range(8) for y in range(5)} - {Weight(0, 0)}
+    for weight in view:
+        assert view[weight] == table.entry(weight)
+    for outside in ((0, 0), (8, 0), (0, 5), (8, 5), (-1, 2), (3, -1)):
+        with pytest.raises(KeyError):
+            view[outside]
+    with pytest.raises(TypeError):
+        view[Weight(1, 1)] = (Fraction(1, 2), 1)
+    assert view[Weight(1, 1)] == (1, 1)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_entries_view_equals_peterson_dict_through_growth(r):
+    L, C, M = _peterson(r)
+    table = MultiplicityTable(Rank2Cartan(r))
+    c0max = c1max = 0
+    for box in ((3, 7), (12, 5), (20, 20)):
+        table.fill_box(*box)
+        c0max, c1max = max(c0max, box[0]), max(c1max, box[1])
+        want = {
+            Weight(a0, a1): (Fraction(C[a0][a1], L), M[a0][a1])
+            for a0 in range(c0max + 1)
+            for a1 in range(c1max + 1)
+            if a0 or a1
+        }
+        assert table.entries == want
+        assert want == table.entries

@@ -232,6 +232,20 @@ def test_visits_limit_value():
     assert abs(float(report.mean) - 8.0) / 8.0 < 0.15
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_seed_is_refused_before_any_work(monkeypatch, cartan3, seed):
+    def no_work(*args):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(sampler, "dyck_count", no_work)
+    monkeypatch.setattr(sampler, "_chunk_rng", no_work)
+    message = rf"^seed must be a nonnegative integer, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        estimate_bound((4, 3), cartan3, FilterLevel.COND1, samples=10, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        visits_statistic(k=5, distance=1, samples=10, seed=seed)
+
+
 def test_visits_argument_errors():
     with pytest.raises(ValueError):
         visits_statistic(k=0, distance=0, samples=10, seed=0)
