@@ -23,7 +23,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .core_lattice import Rank2Cartan, Weight, classify, dyck_count
-from .counting import bound_report, enumerate_dyck
+from .counting import bound_report, check_bound_height, enumerate_dyck
 from .limits import DEFAULT_CHUNK, MAX_THREADS
 from .peterson import MultiplicityTable, check_box
 from .stability_filters import FilterLevel, cond1, cond2
@@ -214,16 +214,20 @@ def cmd_table(args) -> int:
         # the last root's box holds every earlier one
         check_box(*_family_root(args.family, args.max_n))
         rows = [(n, _family_root(args.family, n)) for n in range(1, args.max_n + 1)]
+    guard = args.skip_bounds_above
+    skips = []
     for _, root in rows:
         if min(root) < 1 or gcd(*root) != 1:
             raise ValueError(f"table roots need coprime positive coordinates, got {tuple(root)}")
+        skips.append(guard is not None and dyck_count(*root) > guard)
+        if not skips[-1]:
+            check_bound_height(*root)
     table = MultiplicityTable(cartan)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "root_c0", "root_c1", "multiplicity", "bound1", "bound2", "gap1", "gap2"])
-    for n, root in rows:
+    for (n, root), skipped in zip(rows, skips):
         mult = table.entry(root)[1]
-        guard = args.skip_bounds_above
-        if guard is not None and dyck_count(root.c0, root.c1) > guard:
+        if skipped:
             b1 = b2 = g1 = g2 = "skipped"
         else:
             report = bound_report(root, cartan)

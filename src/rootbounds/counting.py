@@ -45,6 +45,22 @@ from .stability_filters import (
 Visitor = Callable[[tuple[int, ...]], None]
 State = tuple[int, int, int, int]
 
+# bound1, bound2 and bound_report refuse a root of greater height n + m
+# before the DP allocates a state.  The DP's time grows about as the
+# fourth power of the height: on a 2-vCPU Xeon VM, bound_report at r = 3
+# took 0.52 s at (51,50), 7.6 s at (101,100), 15.5 s at (121,120) and
+# 19.9 s (68 MB peak RSS) at (128,127), the highest staircase root let
+# through; (161,95) took 17.5 s, and (1001,1000) would take about a day.
+MAX_BOUND_HEIGHT = 256
+
+
+def check_bound_height(n: int, m: int) -> None:
+    """Refuse a root whose exact bounds would run past MAX_BOUND_HEIGHT."""
+    if n + m > MAX_BOUND_HEIGHT:
+        raise ValueError(
+            f"exact bounds stop at height {MAX_BOUND_HEIGHT}; {(n, m)} has height {n + m}"
+        )
+
 
 @dataclass
 class BoundReport:
@@ -195,6 +211,7 @@ def _require_bound_weight(weight, cartan: Rank2Cartan) -> tuple[int, int]:
     n, m = _check_endpoint(weight)
     if gcd(m, n) != 1:
         raise ValueError("bounds are stated for coprime weights")
+    check_bound_height(n, m)
     if classify(Weight(n, m), cartan) is not RootClass.IMAGINARY:
         warnings.warn(
             f"weight {(n, m)} is not an imaginary root; the count is still "

@@ -81,10 +81,13 @@ class MultiplicityTable:
         c0max = max(c0max, old0)
         c1max = max(c1max, old1)
         check_box(c0max, c1max)
+        # every cell outside the old box starts at 0, also when an earlier
+        # fill raised and left its cells half divided
+        del self._f[old0 + 1 :], self._m[old0 + 1 :]
         for f_row, m_row in zip(self._f, self._m):
-            f_row.extend([0] * (c1max + 1 - len(f_row)))
-            m_row.extend([0] * (c1max + 1 - len(m_row)))
-        for _ in range(c0max + 1 - len(self._f)):
+            f_row[old1 + 1 :] = [0] * (c1max - old1)
+            m_row[old1 + 1 :] = [0] * (c1max - old1)
+        for _ in range(c0max - old0):
             self._f.append([0] * (c1max + 1))
             self._m.append([0] * (c1max + 1))
         shifts = list(_weyl_shifts(c0max, c1max, self.cartan))

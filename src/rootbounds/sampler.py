@@ -24,10 +24,15 @@ marks unrotated words that hold, cyclically, a lone 1 followed by at
 least b1 zeros (b1 the shortest run that cond1_pair rejects after a run
 of 1): they fail cond1 whatever their rotation, since the rotation cuts
 between a 0 and a 1, never inside those two runs.  Unmarked rows are
-rotated and their runs decoded once, into padded pair matrices of up and
-right runs.  cond1 compares every run with the limit table of the run
-before it; cond2 runs on cond1's survivors in one dense pass over the
-same matrices, with r clamped to 2m, past which every cond2 step holds.
+cast to int8 once and laid twice end to end; one in-place cumsum of the
+weighted steps finds each cut, and the rotated word is the window of
+the doubled row that starts there.  Their runs are decoded once, into
+one flat list of run lengths, row after row.  cond1 compares every run
+with the limit table of the run before it in its row and counts the
+failures per row.  Only cond1's survivors are laid out as padded pair
+matrices of up and right runs, on which cond2 runs in one dense pass,
+with r clamped to 2m, past which every cond2 step holds.
+
 The visit statistic at (k+1, k) rotates nothing: the weighted height
 there is (k + 1/2)*D + i/2 for the +-1 walk D of the word, so the cut is
 the first minimum of D and the rotated walk is read off D on either side
@@ -49,6 +54,7 @@ from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core_lattice import Rank2Cartan, dyck_count
 from .limits import DEFAULT_CHUNK, MAX_THREADS
@@ -163,8 +169,16 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _is_int(value) -> bool:
+    # bool is an int, and True would pass for 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
     """The sizes of the chunks that draw `samples` rows, chunk index = position."""
+    for name, value in (("samples", samples), ("chunk", chunk)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
     if chunk < 1:
@@ -181,58 +195,80 @@ def _chunk_sizes(samples: int, chunk: int) -> list[int]:
 
 
 def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The words W of m ones and n zeros rotated to their Dyck representatives, as int8 rows.
+
+    The weighted height after i letters (+n per 1, -m per 0) has a unique
+    minimum over i = 1..N, since n and m are coprime, and it returns to 0
+    at i = N; the cut is the position after that minimum, and cutting at N
+    is cutting at 0.  Each row is cast to int8 once, laid twice end to end,
+    and its rotation is the window of length N that starts at the cut.
+    """
     B, N = W.shape
-    # prefix heights are bounded by n*m in absolute value
-    dt = np.int32 if n * m < 2**31 else np.int64
-    inc = np.where(W == 1, n, -m).astype(dt)
-    heights = np.empty((B, N), dtype=dt)
-    heights[:, 0] = 0
-    np.cumsum(inc[:, : N - 1], axis=1, out=heights[:, 1:])
-    p = np.argmin(heights, axis=1)
-    idx = ((p[:, None] + np.arange(N, dtype=np.int64)[None, :]) % N).astype(np.int32)
-    return np.take_along_axis(W, idx, axis=1)
+    WW = np.empty((B, 2 * N), dtype=np.int8)
+    WW[:, :N] = W
+    WW[:, N:] = WW[:, :N]
+    # heights are bounded by n*m in absolute value
+    H = np.multiply(WW[:, :N], n + m, dtype=np.int32 if n * m < 2**31 else np.int64)
+    H -= m
+    np.cumsum(H, axis=1, out=H)
+    cut = np.argmin(H, axis=1) + 1
+    # the N + 1 windows of each doubled row, as sliding_window_view(WW, N,
+    # axis=1) has them, without its per-call cost of tens of microseconds
+    windows = as_strided(WW, (B, N + 1, N), (2 * N, 1, 1), writeable=False)
+    return windows[np.arange(B), cut]
 
 
-def _run_pairs(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The runs of rotated words as padded int64 pair matrices U, V and their pad mask.
+def _runs(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run lengths of rotated words, flat and row after row, and the row of each run.
 
-    Row b's up runs fill row b of U and its right runs row b of V; a row
-    with fewer pairs than the widest is padded with zero pairs, which the
-    mask marks.
+    A rotated word starts with 1 and ends with 0, so every row holds an
+    even number of runs, and the flat list alternates up and right runs.
     """
     B, N = R.shape
     ends = np.empty((B, N), dtype=bool)
     np.not_equal(R[:, 1:], R[:, :-1], out=ends[:, :-1])
     ends[:, -1] = True
     # each row ends a run at its last letter, so the gaps between run ends
-    # in the flattened matrix are the run lengths, row after row; a rotated
-    # word starts with 1 and ends with 0, so the runs pair up as (u, v)
+    # in the flattened matrix are the run lengths
     at = np.flatnonzero(ends)
-    pairs = np.diff(at, prepend=-1).reshape(-1, 2)
-    row = at[0::2] // N
-    npairs = np.bincount(row, minlength=B)
-    col = np.arange(len(row)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
-    K = int(npairs.max(initial=0))  # the screen can leave no rows
-    U = np.zeros((B, K), dtype=np.int64)
-    V = np.zeros((B, K), dtype=np.int64)
-    U[row, col] = pairs[:, 0]
-    V[row, col] = pairs[:, 1]
-    return U, V, np.arange(K) >= npairs[:, None]
+    return np.diff(at, prepend=-1), at // N
 
 
 def _cond1_table(N: int, r: int) -> np.ndarray:
-    """cond1_limits(N, r) as an int64 lookup table for _cond1_pass."""
+    """cond1_limits(N, r) as an int64 lookup table for _cond1_rows."""
     return np.array(cond1_limits(N, r), dtype=np.int64)
 
 
-def _cond1_pass(U: np.ndarray, V: np.ndarray, lim: np.ndarray) -> np.ndarray:
-    """cond1 over every row of the pair matrices of words of length N.
+def _cond1_rows(runs: np.ndarray, row: np.ndarray, lim: np.ndarray, B: int) -> np.ndarray:
+    """cond1 for each of B rotated words of length N, from their flat runs.
 
-    Each run is at most the cond1_limit of the run before it, looked up in
-    lim = _cond1_table(N, r), clipped to N, so no product can overflow.
-    Zero padding passes both tests: lim[0] = 0, and no run is negative.
+    Each run is at most the cond1_limit of the run before it in its row,
+    looked up in lim = _cond1_table(N, r), clipped to N, so no product can
+    overflow; a row fails when any of its runs does.
     """
-    return (V <= lim[U]).all(axis=1) & (U[:, 1:] <= lim[V[:, :-1]]).all(axis=1)
+    bad = runs[1:] > lim[runs[:-1]]
+    bad &= row[1:] == row[:-1]
+    return np.bincount(row[1:][bad], minlength=B) == 0
+
+
+def _run_pairs(
+    runs: np.ndarray, row: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows where keep holds as padded int64 pair matrices U, V and their pad mask.
+
+    Row b's up runs fill row b of U and its right runs row b of V; a row
+    with fewer pairs than the widest is padded with zero pairs, which the
+    mask marks.
+    """
+    npairs = np.bincount(row, minlength=len(keep))[keep] // 2
+    pairs = runs[keep[row]].reshape(-1, 2)
+    pad = np.arange(npairs.max(initial=0)) >= npairs[:, None]
+    U = np.zeros(pad.shape, dtype=np.int64)
+    V = np.zeros(pad.shape, dtype=np.int64)
+    # a boolean mask fills its cells row-major, each row's pairs in order
+    U[~pad] = pairs[:, 0]
+    V[~pad] = pairs[:, 1]
+    return U, V, pad
 
 
 def _cond2_pass_rows(
@@ -295,10 +331,10 @@ def _estimate_chunk(args) -> int:
     hits = 0
     for W in _sub_batches(n, m, seed, index, size):
         R = _rotate_batch(W[~_cond1_screen(W, b1)], n, m)
-        U, V, pad = _run_pairs(R)
-        ok = _cond1_pass(U, V, lim)
+        runs, row = _runs(R)
+        ok = _cond1_rows(runs, row, lim, len(R))
         if level is FilterLevel.COND2 and ok.any():
-            ok = _cond2_pass_rows(U[ok], V[ok], pad[ok], n, m, r)
+            ok = _cond2_pass_rows(*_run_pairs(runs, row, ok), n, m, r)
         hits += int(ok.sum())
     return hits
 
@@ -325,6 +361,8 @@ def estimate_bound(
     if level not in (FilterLevel.COND1, FilterLevel.COND2):
         raise ValueError("estimation targets the cond1 or cond2 filter")
     sizes = _chunk_sizes(samples, chunk)
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if threads > MAX_THREADS:
         raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
     _check_letters(n + m)

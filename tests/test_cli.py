@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 import rootbounds.cli
 from rootbounds import Rank2Cartan
 from rootbounds.cli import THREADS_ENV, build_parser, main
+from rootbounds.counting import MAX_BOUND_HEIGHT, bound1, bound2, bound_report
 from rootbounds.peterson import MAX_CELLS, MultiplicityTable
 from rootbounds.sampler import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
 
@@ -345,6 +347,50 @@ def test_runaway_boxes_are_refused_before_the_fill(capsys, monkeypatch, argv, bo
     assert err == f"error: the box up to {box} holds {cells} cells, more than {MAX_CELLS}\n"
 
 
+def _no_dp(*args):
+    raise RuntimeError("DP started")
+
+
+@pytest.mark.parametrize("argv, root", [
+    (("bound", "--root", "1001,1000", "--theorem", "1"), (1001, 1000)),
+    (("bound", "--root", "129,128", "--theorem", "2", "--list"), (129, 128)),
+    (("table", "--family", "staircase", "--max-n", "128"), (129, 128)),
+    (("table", "--family", "antistaircase", "--max-n", "300"), (128, 129)),
+    # the first root is fine, and no row may be written before the second is refused
+    (("table", "--family", "custom", "--roots", "3,2;1001,1000"), (1001, 1000)),
+    (("table", "--family", "custom", "--roots", "3,2;255,2", "--skip-bounds-above", "200"),
+     (255, 2)),
+], ids=["bound", "bound-list", "staircase", "antistaircase", "custom", "custom-unskipped"])
+def test_runaway_bounds_are_refused_before_the_dp(capsys, monkeypatch, argv, root):
+    monkeypatch.setattr("rootbounds.counting._count", _no_dp)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: exact bounds stop at height {MAX_BOUND_HEIGHT}; {root} has height {sum(root)}\n"
+    )
+
+
+def test_skipped_table_rows_pass_the_bound_ceiling(capsys):
+    # (255,2) is past the ceiling, but its 128 paths are more than the
+    # skip threshold, so no bound is computed for it
+    code, out, err = run_cli(
+        capsys, "table", "--family", "custom", "--roots", "3,2;255,2", "--skip-bounds-above", "100"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["1,3,2,2,2,2,0,0", "2,255,2,0,skipped,skipped,skipped,skipped"]
+
+
+def test_bound_ceiling_admits_the_pinned_roots(monkeypatch, cartan3):
+    # bound 101,100 is the largest pinned root; one more step up the
+    # staircase past the ceiling is refused in the library too
+    assert 101 + 100 <= MAX_BOUND_HEIGHT < 129 + 128
+    monkeypatch.setattr("rootbounds.counting._count", _no_dp)
+    for fn in (bound1, bound2, bound_report):
+        with pytest.raises(ValueError, match="^exact bounds stop at height"):
+            fn((129, 128), cartan3)
+
+
 def test_library_fill_refuses_runaway_box(monkeypatch):
     # the ceiling admits (801,800), the largest root whose fill was timed
     assert (801 + 1) * (800 + 1) <= MAX_CELLS
@@ -380,18 +426,20 @@ def test_root_parse_errors(capsys):
     assert "nonnegative" in err
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "rootbounds.cli", "mult", "--root", "1,1"],
-        capture_output=True,
-        text=True,
+def _run_module(*flags_and_argv):
+    # a fresh interpreter imports the package this suite imports, also when
+    # only pytest's own pythonpath setting put it on sys.path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *flags_and_argv], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point():
+    proc = _run_module("-m", "rootbounds.cli", "mult", "--root", "1,1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["multiplicity"] == "1"
-
-
-def _run_module(*flags_and_argv):
-    return subprocess.run([sys.executable, *flags_and_argv], capture_output=True, text=True)
 
 
 def test_optimized_python_gives_same_bound_output():

@@ -277,6 +277,26 @@ def test_fill_refuses_a_dropped_weyl_shift(monkeypatch, r, dropped):
         MultiplicityTable(Rank2Cartan(r)).fill_box(BOX, BOX)
 
 
+@pytest.mark.parametrize("old_box", [(0, 0), (3, 5)], ids=str)
+def test_retry_after_a_failed_fill_matches_fresh_fill(monkeypatch, cartan3, old_box):
+    # a fill that raises leaves its new cells half divided; the next fill
+    # on the same table must start them over, not divide them again
+    table = MultiplicityTable(cartan3)
+    table.fill_box(*old_box)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            peterson, "_weyl_shifts", lambda *box: [s for s in _weyl_shifts(*box) if s != (4, 1, 1)]
+        )
+        with pytest.raises(ArithmeticError, match=r"^multiplicity at \(4, 1\) "):
+            table.fill_box(10, 10)
+    assert table._box == old_box
+    table.fill_box(10, 10)
+    fresh = MultiplicityTable(cartan3)
+    fresh.fill_box(10, 10)
+    assert (table._f, table._m) == (fresh._f, fresh._m)
+    assert table.entries == fresh.entries
+
+
 @pytest.mark.parametrize(
     "r, flipped", SHIFTS_IN_BOX, ids=[f"r{r}-{a},{b}" for r, (a, b, _) in SHIFTS_IN_BOX]
 )

@@ -23,7 +23,7 @@ from rootbounds.sampler import (
     MAX_THREADS,
     _chunk_rng,
     _chunk_sizes,
-    _cond1_pass,
+    _cond1_rows,
     _cond1_screen,
     _cond1_table,
     _cond2_pass_rows,
@@ -31,6 +31,7 @@ from rootbounds.sampler import (
     _lone_one_limit,
     _rotate_batch,
     _run_pairs,
+    _runs,
     _sig6,
     _sqrt_sig6,
     _sub_batches,
@@ -42,6 +43,48 @@ from rootbounds.stability_filters import cond1, cond2
 def _whole_chunk(n, m, seed, index, size):
     """Chunk `index` of the seeded stream in one matrix: its sub-batches, concatenated."""
     return np.concatenate(list(_sub_batches(n, m, seed, index, size)))
+
+
+def _reference_rotation(W, n, m):
+    """The rotation before the window gather: a modular index matrix and take_along_axis."""
+    B, N = W.shape
+    dt = np.int32 if n * m < 2**31 else np.int64
+    inc = np.where(W == 1, n, -m).astype(dt)
+    heights = np.empty((B, N), dtype=dt)
+    heights[:, 0] = 0
+    np.cumsum(inc[:, : N - 1], axis=1, out=heights[:, 1:])
+    p = np.argmin(heights, axis=1)
+    idx = ((p[:, None] + np.arange(N, dtype=np.int64)[None, :]) % N).astype(np.int32)
+    return np.take_along_axis(W, idx, axis=1)
+
+
+def _reference_pairs(R):
+    """The padded pair matrices U, V and pad mask of rotated words, decoded from the matrix."""
+    B, N = R.shape
+    ends = np.empty((B, N), dtype=bool)
+    np.not_equal(R[:, 1:], R[:, :-1], out=ends[:, :-1])
+    ends[:, -1] = True
+    at = np.flatnonzero(ends)
+    pairs = np.diff(at, prepend=-1).reshape(-1, 2)
+    row = at[0::2] // N
+    npairs = np.bincount(row, minlength=B)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    K = int(npairs.max(initial=0))
+    U = np.zeros((B, K), dtype=np.int64)
+    V = np.zeros((B, K), dtype=np.int64)
+    U[row, col] = pairs[:, 0]
+    V[row, col] = pairs[:, 1]
+    return U, V, np.arange(K) >= npairs[:, None]
+
+
+def _cond1_pass(U, V, lim):
+    """cond1 over every row of padded pair matrices, as decided before the flat runs."""
+    return (V <= lim[U]).all(axis=1) & (U[:, 1:] <= lim[V[:, :-1]]).all(axis=1)
+
+
+# every coprime word type with at most 14 letters
+SMALL_TYPES = [(n, total - n) for total in range(2, 15) for n in range(1, total)
+               if gcd(n, total - n) == 1]
 
 
 def test_single_path_endpoint():
@@ -246,6 +289,27 @@ def test_bad_seed_is_refused_before_any_work(monkeypatch, cartan3, seed):
         visits_statistic(k=5, distance=1, samples=10, seed=seed)
 
 
+BAD_COUNTS = [0, -3, 2.5, True, False, "4", None]
+
+
+@pytest.mark.parametrize("name", ["samples", "chunk", "threads"])
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_bad_counts_are_refused_before_any_work(monkeypatch, cartan3, name, value):
+    def no_work(*args):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(sampler, "dyck_count", no_work)
+    monkeypatch.setattr(sampler, "_chunk_rng", no_work)
+    kwargs = dict(samples=10, chunk=5, threads=1)
+    kwargs[name] = value
+    with pytest.raises(ValueError):
+        estimate_bound((4, 3), cartan3, FilterLevel.COND1, seed=0, **kwargs)
+    if name != "threads":
+        del kwargs["threads"]
+        with pytest.raises(ValueError):
+            visits_statistic(k=5, distance=1, seed=0, **kwargs)
+
+
 def test_visits_argument_errors():
     with pytest.raises(ValueError):
         visits_statistic(k=0, distance=0, samples=10, seed=0)
@@ -289,9 +353,9 @@ def test_visits_pinned_outputs():
 
 
 def _unscreened_chunk(n, m, r, level, seed, index, size):
-    """The chunk counter before the cond1 screen: rotate every row."""
-    R = _rotate_batch(_whole_chunk(n, m, seed, index, size), n, m)
-    U, V, _ = _run_pairs(R)
+    """The chunk counter before the cond1 screen, the window gather and the flat cond1."""
+    R = _reference_rotation(_whole_chunk(n, m, seed, index, size), n, m)
+    U, V, _ = _reference_pairs(R)
     ok = _cond1_pass(U, V, _cond1_table(n + m, r))
     if level is FilterLevel.COND1:
         return int(ok.sum())
@@ -305,17 +369,16 @@ def test_cond2_batch_matches_scalar(r):
     # every rotated word, not only cond1's survivors; a batch of all words
     # of one type mixes run counts, so short rows are padded
     cartan = Rank2Cartan(r)
-    types = [(n, total - n) for total in range(2, 15) for n in range(1, total)
-             if gcd(n, total - n) == 1]
-    assert {(2, 1), (1, 2)} <= set(types)
+    assert {(2, 1), (1, 2)} <= set(SMALL_TYPES)
     padded = 0
-    for n, m in types:
+    for n, m in SMALL_TYPES:
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
         runs = [word_to_runs(row).runs for row in R]
-        got = _cond2_pass_rows(*_run_pairs(R), n, m, r)
+        pairs = _run_pairs(*_runs(R), np.ones(len(R), dtype=bool))
+        got = _cond2_pass_rows(*pairs, n, m, r)
         assert got.tolist() == [cond2(a, cartan) for a in runs], (n, m)
         padded += len({len(a) for a in runs}) > 1
-    assert padded > len(types) // 2
+    assert padded > len(SMALL_TYPES) // 2
 
 
 def test_lone_one_limit():
@@ -325,30 +388,45 @@ def test_lone_one_limit():
 @pytest.mark.parametrize("r", [3, 4, 5, 2**62], ids=["3", "4", "5", "2^62"])
 def test_cond1_batch_matches_scalar(r):
     # every rotated word; at r = 2**62 a product r*a*b would pass 2**63;
-    # a batch of all words of one type mixes run counts, so short rows are
-    # padded with zero pairs, which must pass
+    # a batch of all words of one type mixes run counts, so the flat runs
+    # change rows at different offsets, and the padded reference pads
+    # short rows with zero pairs, which must pass
     cartan = Rank2Cartan(r)
-    types = [(n, total - n) for total in range(2, 15) for n in range(1, total)
-             if gcd(n, total - n) == 1]
     verdicts = set()
-    padded = 0
-    for n, m in types:
+    mixed = 0
+    for n, m in SMALL_TYPES:
+        lim = _cond1_table(n + m, r)
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
         runs = [word_to_runs(row).runs for row in R]
-        U, V, _ = _run_pairs(R)
-        got = _cond1_pass(U, V, _cond1_table(n + m, r)).tolist()
-        assert got == [cond1(a, cartan) for a in runs], (n, m)
-        verdicts.update(got)
-        padded += len({len(a) for a in runs}) > 1
+        want = [cond1(a, cartan) for a in runs]
+        assert _cond1_rows(*_runs(R), lim, len(R)).tolist() == want, (n, m)
+        assert _cond1_pass(*_reference_pairs(R)[:2], lim).tolist() == want, (n, m)
+        verdicts.update(want)
+        mixed += len({len(a) for a in runs}) > 1
     assert verdicts == ({True} if r == 2**62 else {True, False})
-    assert padded > len(types) // 2
+    assert mixed > len(SMALL_TYPES) // 2
+    empty = np.zeros((0, 7), dtype=np.int8)
+    assert _cond1_rows(*_runs(empty), _cond1_table(7, r), 0).shape == (0,)
 
 
 def test_run_pairs_of_no_rows():
-    # the screen can mark every row of a chunk
-    U, V, pad = _run_pairs(np.zeros((0, 7), dtype=np.int8))
+    # the screen can mark every row of a chunk, and cond1 can fail every row
+    runs, row = _runs(_rotate_batch(np.zeros((0, 7), dtype=np.int64), 3, 4))
+    assert runs.shape == row.shape == (0,)
+    U, V, pad = _run_pairs(runs, row, np.zeros(0, dtype=bool))
     assert U.shape == V.shape == pad.shape == (0, 0)
-    assert _cond1_pass(U, V, _cond1_table(7, 3)).shape == (0,)
+    R = _rotate_batch(np.array(list(all_words(3, 4)), dtype=np.int8), 3, 4)
+    U, V, pad = _run_pairs(*_runs(R), np.zeros(len(R), dtype=bool))
+    assert U.shape == V.shape == pad.shape == (0, 0)
+
+
+def test_run_pairs_keep_the_chosen_rows():
+    for n, m in SMALL_TYPES:
+        R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
+        keep = np.arange(len(R)) % 3 != 1
+        got = _run_pairs(*_runs(R), keep)
+        want = _reference_pairs(R[keep])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, m)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -372,13 +450,31 @@ def test_cond1_screen_marks_only_failing_words(r):
     assert marked_any
 
 
-@pytest.mark.parametrize("weight", [(51, 50), (16, 15), (4, 3), (1, 2), (2, 1)], ids=str)
-@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize(
+    "weight", [(201, 200), (51, 50), (16, 15), (11, 15), (4, 3), (1, 2), (2, 1)], ids=str
+)
+@pytest.mark.parametrize("r", [3, 4, 2**62], ids=["3", "4", "2^62"])
 @pytest.mark.parametrize("level", [FilterLevel.COND1, FilterLevel.COND2], ids=str)
 def test_screened_chunk_matches_unscreened(weight, r, level):
-    # the small roots are shorter than the screen's pattern, so nothing is marked
-    args = (*weight, r, level, 2026, 1, 20000 if weight[0] > 10 else 2000)
+    # the small roots are shorter than the screen's pattern, so nothing is
+    # marked; at 2**62 nothing is marked and every row is rotated
+    size = 4000 if weight[0] > 100 else 20000 if weight[0] > 10 else 2000
+    args = (*weight, r, level, 2026, 1, size)
     assert _estimate_chunk(args) == _unscreened_chunk(*args)
+
+
+def test_window_rotation_matches_reference_on_all_words():
+    for n, m in SMALL_TYPES:
+        W = np.array(list(all_words(n, m)), dtype=np.int64)
+        R = _rotate_batch(W, n, m)
+        assert R.dtype == np.int8
+        assert np.array_equal(R, _reference_rotation(W, n, m)), (n, m)
+
+
+@pytest.mark.parametrize("weight", [(51, 50), (50, 51), (201, 200)], ids=str)
+def test_window_rotation_matches_reference_on_draws(weight):
+    W = _whole_chunk(*weight, seed=2026, index=3, size=3000)
+    assert np.array_equal(_rotate_batch(W, *weight), _reference_rotation(W, *weight))
 
 
 def _rotated_visit_counts(W, distance):
