@@ -23,7 +23,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .core_lattice import Rank2Cartan, Weight, classify, dyck_count
-from .counting import bound_report, check_bound_height, enumerate_dyck
+from .counting import MAX_LISTED_PATHS, bound_report, check_bound_height, enumerate_dyck
 from .limits import DEFAULT_CHUNK, MAX_THREADS
 from .peterson import MultiplicityTable, check_box
 from .stability_filters import FilterLevel, cond1, cond2
@@ -127,9 +127,15 @@ def cmd_mult(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.list and args.format == "csv":
+        # a CSV row holds only scalar fields, so the paths would be dropped
+        raise ValueError("--list needs --format json")
     root = _parse_root(args.root)
     cartan = Rank2Cartan(args.r)
     report = bound_report(root, cartan)
+    bound = report.count_thm1 if args.theorem == 1 else report.count_thm2
+    if args.list and bound > MAX_LISTED_PATHS:
+        raise ValueError(f"--list stops at {MAX_LISTED_PATHS} paths; {tuple(root)} has {bound}")
     payload = {
         "root": [root.c0, root.c1],
         "r": args.r,
@@ -137,7 +143,7 @@ def cmd_bound(args) -> int:
         "dyck_total": str(report.dyck_total),
         "count_thm1": str(report.count_thm1),
         "count_thm2": str(report.count_thm2),
-        "bound": str(report.count_thm1 if args.theorem == 1 else report.count_thm2),
+        "bound": str(bound),
         "elapsed_seconds": round(report.elapsed, 3),
     }
     if args.list:
@@ -276,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="1 = run-ratio filter, 2 = ratio + partial-sum filter (tighter)",
     )
-    p.add_argument("--list", action="store_true", help="also list passing paths as words")
+    p.add_argument(
+        "--list",
+        action="store_true",
+        help=f"also list passing paths as words (JSON only, at most {MAX_LISTED_PATHS} paths)",
+    )
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("estimate", help="Monte-Carlo estimate of a bound")

@@ -18,16 +18,18 @@ right run.  Two exact clamps merge states: the last run matters only
 through the cap it puts on the next run, and the running min only up to
 the value at which every cond2 test still ahead passes.  States sharing
 (O, E, running min) then differ only in their cap, so each such group
-walks its runs once.  A half-step adds to O, or keeps O and adds to E,
-so states are settled in order of O, whatever the number of pairs
-before them.
+walks its runs once: it lays its counts out by cap and walks its runs
+longest first in one flat loop, keeping a running sum, so that each run
+carries the count of every state whose cap admits it.  The per-run
+limits come from tables built once per O, and cond2_max_up is read once
+per group.  A half-step adds to O, or keeps O and adds to E, so states
+are settled in order of O, whatever the number of pairs before them.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator, Optional
@@ -48,10 +50,16 @@ State = tuple[int, int, int, int]
 # bound1, bound2 and bound_report refuse a root of greater height n + m
 # before the DP allocates a state.  The DP's time grows about as the
 # fourth power of the height: on a 2-vCPU Xeon VM, bound_report at r = 3
-# took 0.52 s at (51,50), 7.6 s at (101,100), 15.5 s at (121,120) and
-# 19.9 s (68 MB peak RSS) at (128,127), the highest staircase root let
-# through; (161,95) took 17.5 s, and (1001,1000) would take about a day.
+# took 0.30 s at (51,50), 3.8-4.7 s at (101,100), 9.2 s at (121,120) and
+# 11.1 s (67 MB peak RSS) at (128,127), the highest staircase root let
+# through; (161,95) took 8.7 s, and (1001,1000) would take about half a day.
 MAX_BOUND_HEIGHT = 256
+
+# bound --list refuses to list more paths than this, after counting them
+# and before the enumeration starts.  Listing takes about 7 us a path on
+# the same VM (45,751 paths at (12,13), theorem 1, in 0.30 s), so the
+# longest listing let through takes about 0.5 s.
+MAX_LISTED_PATHS = 2**16
 
 
 def check_bound_height(n: int, m: int) -> None:
@@ -117,20 +125,6 @@ def _successors(
             yield u, v, (y, E + v, v if use1 else 0, next_low)
 
 
-def _runs_allowed(by_cap: dict[int, int], limit: int) -> Iterator[tuple[int, int]]:
-    """(run, ways) for every run some state of a group admits, longest first.
-
-    A state with cap c admits runs 1..min(c, limit), so ways sums the
-    states whose cap reaches the run, and the group walks its runs once.
-    """
-    caps = sorted(by_cap, reverse=True)
-    ways = 0
-    for cap, below in zip(caps, caps[1:] + [0]):
-        ways += by_cap[cap]
-        for run in range(min(cap, limit), below, -1):
-            yield run, ways
-
-
 def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
     """Number of paths to (n, m) passing the filter, by half-steps in order of O."""
     r = cartan.r
@@ -143,35 +137,89 @@ def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
     # run with O' + u <= m, so it passes whenever low >= top[E'].  top
     # falls with E when r*n >= m, so all lows at or above top[E] share
     # one future and are merged into it; when r*n < m, top[E] >= m >= low.
-    top = [m - E * (r * n - m) // n for E in range(n)] if use2 else []
+    # A right run is the one step that clamps, as an up run only lowers
+    # the min.  Without cond2 every low stays m, and top leaves it there.
+    top = [m - E * (r * n - m) // n for E in range(n)] if use2 else [m] * n
+    # diag[y]: the most right steps a prefix may hold at y < m up steps
+    # and stay weakly above the diagonal; it is below n, so a right step
+    # is always left for later
+    diag = [y * n // m for y in range(m)]
+    # first[E]: the fewest up steps a prefix needs before a right run may
+    # follow its E right steps
+    first = [-(-(E + 1) * m // n) for E in range(n)]
     # ups[O] and mids[O] hold the prefixes with O up steps that end in a
     # right run and in an up run, keyed by (E, running min), each a map
     # from the cap on the next run to the number of prefixes
-    ups = [defaultdict(lambda: defaultdict(int)) for _ in range(m)]
-    mids = [defaultdict(lambda: defaultdict(int)) for _ in range(m)]
-    ups[0][0, m][m] = 1  # m as the min of f makes the first cond2 step hold
+    ups = [{} for _ in range(m)]
+    mids = [{} for _ in range(m)]
+    ups[0][0, m] = {m: 1}  # m as the min of f makes the first cond2 step hold
     total = 0
     for O in range(m):
         up = ups[O]
         room = m - O
+        # after[v]: the cap a right run of v puts on the up run after it
+        after = [b if b < room else room for b in lim]
+        # A group of states sharing (E, low) walks its runs once, longest
+        # first.  A state with cap c admits the runs up to c, so the walk
+        # adds its ways on reaching c, and each run carries the ways of
+        # every state that admits it.
         for (E, low), by_cap in mids[O].items():
             # the caps already hold every limit on a right run
-            for v, ways in _runs_allowed(by_cap, n):
+            hi = max(by_cap)
+            at_cap = [0] * (hi + 1)
+            for c, w in by_cap.items():
+                at_cap[c] = w
+            ways = 0
+            for v in range(hi, 0, -1):
+                w = at_cap[v]
+                if w:
+                    ways += w
                 F = E + v
-                up[F, min(low, top[F]) if use2 else low][min(lim[v], room)] += ways
+                t = top[F]
+                key = (F, low if low < t else t)
+                cap = after[v]
+                by = up.get(key)
+                if by is None:
+                    up[key] = {cap: ways}
+                else:
+                    by[cap] = by.get(cap, 0) + ways
         for (E, low), by_cap in up.items():
-            limit = cond2_max_up(O, E, low, n, m, r) if use2 else m
-            for u, ways in _runs_allowed(by_cap, limit):
+            hi = cond2_max_up(O, E, low, n, m, r) if use2 else room
+            longest = max(by_cap)
+            if longest < hi:
+                hi = longest
+            if hi < 1:
+                continue
+            kept = (E, low)  # without cond2 the running min stays m
+            at_cap = [0] * (hi + 1)
+            for c, w in by_cap.items():
+                at_cap[c if c < hi else hi] += w
+            ways = 0
+            if hi == room:
+                ways = at_cap[room]
+                if n - E <= lim[room]:  # the final right run is forced
+                    total += ways
+                hi -= 1
+            # a shorter up run leaves no right run above the diagonal
+            stop = first[E] - O - 1
+            if stop < 0:
+                stop = 0
+            for u in range(hi, stop, -1):
+                w = at_cap[u]
+                if w:
+                    ways += w
                 y = O + u
-                if y == m:
-                    if n - E <= lim[u]:  # the final right run is forced
-                        total += ways
-                    continue
-                # stay weakly above the diagonal, and leave a right step for later
-                vcap = min(y * n // m - E, n - E - 1, lim[u])
-                if vcap > 0:
-                    key = (E, min(cond2_low(low, O, E, u, r), top[E]) if use2 else low)
-                    mids[y][key][vcap] += ways
+                vcap = diag[y] - E
+                b = lim[u]
+                if b < vcap:
+                    vcap = b
+                key = (E, cond2_low(low, O, E, u, r)) if use2 else kept
+                mid = mids[y]
+                by = mid.get(key)
+                if by is None:
+                    mid[key] = {vcap: ways}
+                else:
+                    by[vcap] = by.get(vcap, 0) + ways
         ups[O] = mids[O] = None
     return total
 

@@ -13,10 +13,12 @@ before the next is drawn, so a chunk's memory stays at a few sub-batches
 whatever its size.  The rows are those of one permuted call over the
 whole chunk, and 8-byte items take numpy's fast swap path.  Words longer
 than MAX_LETTERS, whose single row would outgrow a sub-batch, are refused.
-Two threads run well under twice as fast: the draw,
-Generator.permuted(axis=1), holds the GIL for much of its time (a Python
-thread spinning beside it keeps about half its rate; beside axis=None,
-which draws another stream, its full rate), so threads contend for it.
+The draw, Generator.permuted(axis=1), releases the GIL while it
+shuffles, for int64 items as for float64 ones: under numpy 2.4, with the
+switch interval at 1 s, a thread sleeping 1 ms at a time kept waking
+about once a millisecond through a draw, and not once through
+sum(range(...)), which keeps the GIL.  So the draw does not make the
+threads queue.
 
 An estimate chunk is one pipeline: draw, screen, rotate, decode runs,
 cond1, cond2.  Only the draw touches every row at full cost.  The screen
@@ -149,13 +151,17 @@ def _sub_batches(n: int, m: int, seed: int, index: int, size: int) -> Iterator[n
     SUB_BATCH_BYTES.  permuted(axis=1) shuffles row after row from the
     one generator, so the sub-batches concatenate to the rows of a single
     call, and 8-byte items take numpy's fast swap path with the same stream.
+    Each sub-batch is shuffled in place, in the array np.tile made, so it
+    costs no second copy.
     """
     base = np.zeros(n + m, dtype=np.int64)
     base[:m] = 1
     rng = _chunk_rng(seed, index)
     rows = SUB_BATCH_BYTES // base.nbytes  # at least 1: words are at most MAX_LETTERS long
     for start in range(0, size, rows):
-        yield rng.permuted(np.tile(base, (min(rows, size - start), 1)), axis=1)
+        W = np.tile(base, (min(rows, size - start), 1))
+        rng.permuted(W, axis=1, out=W)
+        yield W
 
 
 def _check_letters(letters: int) -> None:

@@ -11,7 +11,7 @@ import pytest
 import rootbounds.cli
 from rootbounds import Rank2Cartan
 from rootbounds.cli import THREADS_ENV, build_parser, main
-from rootbounds.counting import MAX_BOUND_HEIGHT, bound1, bound2, bound_report
+from rootbounds.counting import MAX_BOUND_HEIGHT, MAX_LISTED_PATHS, bound1, bound2, bound_report
 from rootbounds.peterson import MAX_CELLS, MultiplicityTable
 from rootbounds.sampler import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
 
@@ -86,6 +86,38 @@ def test_bound_rejects_non_coprime(capsys):
     code, _, err = run_cli(capsys, "bound", "--root", "4,2", "--theorem", "1")
     assert code == 2
     assert "coprime" in err
+
+
+def test_bound_list_refuses_csv_before_the_dp(capsys, monkeypatch):
+    # a CSV row keeps only scalar fields, so it would drop the paths
+    monkeypatch.setattr("rootbounds.counting._count", _no_dp)
+    code, out, err = run_cli(
+        capsys, "bound", "--root", "2,1", "--theorem", "1", "--format", "csv", "--list"
+    )
+    assert (code, out, err) == (2, "", "error: --list needs --format json\n")
+
+
+def _no_listing(*args, **kwargs):
+    raise RuntimeError("listing started")
+
+
+def test_runaway_listing_is_refused_before_the_enumeration(capsys, monkeypatch):
+    monkeypatch.setattr(rootbounds.cli, "enumerate_dyck", _no_listing)
+    code, out, err = run_cli(capsys, "bound", "--root", "26,25", "--theorem", "2", "--list")
+    assert (code, out) == (2, "")
+    assert err == f"error: --list stops at {MAX_LISTED_PATHS} paths; (26, 25) has 60668438425\n"
+
+
+def test_listing_ceiling_admits_its_own_count(capsys, monkeypatch):
+    # (4,3) has 4 paths under theorem 1
+    monkeypatch.setattr(rootbounds.cli, "MAX_LISTED_PATHS", 4)
+    code, out, _ = run_cli(capsys, "bound", "--root", "4,3", "--theorem", "1", "--list")
+    assert code == 0
+    assert len(json.loads(out)["paths"]) == 4
+    monkeypatch.setattr(rootbounds.cli, "MAX_LISTED_PATHS", 3)
+    monkeypatch.setattr(rootbounds.cli, "enumerate_dyck", _no_listing)
+    code, out, err = run_cli(capsys, "bound", "--root", "4,3", "--theorem", "1", "--list")
+    assert (code, out, err) == (2, "", "error: --list stops at 3 paths; (4, 3) has 4\n")
 
 
 def test_estimate_fixed_seed(capsys):

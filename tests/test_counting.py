@@ -112,6 +112,23 @@ def test_dp_count_matches_enumeration():
                     ), (r, n, m, level)
 
 
+@pytest.mark.parametrize("r", [6, 2**62])
+def test_dp_count_matches_enumeration_at_large_r(r):
+    # r = 2**62 clips every cond1 limit to the height, and r*n >= m holds
+    # throughout, so top falls with E; at r = 6, n = 1 and m >= 7 give
+    # r*n < m, where top stays at or above m
+    cartan = Rank2Cartan(r)
+    for total in range(2, 15):
+        for n in range(1, total):
+            m = total - n
+            if gcd(n, m) != 1:
+                continue
+            for level in FilterLevel:
+                assert counting._count(n, m, cartan, level) == enumerate_dyck(
+                    (n, m), cartan, level
+                ), (r, n, m, level)
+
+
 def test_bound_report_checks_closed_form(cartan3, monkeypatch):
     # a plain if, not an assert, so it also raises under python -O
     monkeypatch.setattr(counting, "dyck_count", lambda n, m: dyck_count(n, m) + 1)

@@ -215,6 +215,30 @@ def test_sub_batches_match_single_draw(weight, rows, monkeypatch):
     assert np.array_equal(np.concatenate(batches), one)
 
 
+def _tiled_draws(n, m, seed, index, size):
+    # the draw as it was: each sub-batch a fresh permuted copy of the tiled words
+    base = np.zeros(n + m, dtype=np.int64)
+    base[:m] = 1
+    rng = _chunk_rng(seed, index)
+    rows = sampler.SUB_BATCH_BYTES // base.nbytes
+    for start in range(0, size, rows):
+        yield rng.permuted(np.tile(base, (min(rows, size - start), 1)), axis=1)
+
+
+@pytest.mark.parametrize("weight", [(2, 1), (16, 15), (11, 15), (51, 50), (1, 7)], ids=str)
+def test_in_place_draw_matches_tiled_copies(weight):
+    # two full sub-batches and a short third, row for row, over several seeds
+    n, m = weight
+    size = 2 * (sampler.SUB_BATCH_BYTES // (8 * (n + m))) + 17
+    for seed in (0, 3, 7331):
+        drawn = list(_sub_batches(n, m, seed, 1, size))
+        kept = list(_tiled_draws(n, m, seed, 1, size))
+        assert len(drawn) == len(kept) == 3
+        for W, K in zip(drawn, kept):
+            assert W.dtype == K.dtype == np.int64
+            assert np.array_equal(W, K), (weight, seed)
+
+
 def _traced_peak(job):
     tracemalloc.start()
     try:
