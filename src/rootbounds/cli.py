@@ -205,21 +205,23 @@ def _family_root(family: str, n: int) -> Weight:
 
 def cmd_table(args) -> int:
     cartan = Rank2Cartan(args.r)
-    # every check comes before the table is allocated and the header is
-    # written, so a refused table writes nothing; the table grows one box
-    # over every row, and the ceiling is checked on that box
+    # every check comes before the table is filled and the header is
+    # written, so a refused table writes nothing; one fill covers the box
+    # of every row, and the ceiling is checked on that box
     if args.family == "custom":
         if not args.roots:
             raise ValueError("--family custom needs --roots 'c0,c1;c0,c1;...'")
         roots = [_parse_root(part) for part in args.roots.split(";")]
-        check_box(max(root.c0 for root in roots), max(root.c1 for root in roots))
-        rows = list(enumerate(roots, start=1))
+        box = (max(root.c0 for root in roots), max(root.c1 for root in roots))
     else:
         if args.max_n < 1:
             raise ValueError("--max-n must be >= 1")
-        # the last root's box holds every earlier one
-        check_box(*_family_root(args.family, args.max_n))
-        rows = [(n, _family_root(args.family, n)) for n in range(1, args.max_n + 1)]
+        # the last root's box holds every earlier one; the roots are made
+        # only once that box has passed the ceiling
+        box = _family_root(args.family, args.max_n)
+        roots = (_family_root(args.family, n) for n in range(1, args.max_n + 1))
+    check_box(*box)
+    rows = list(enumerate(roots, start=1))
     guard = args.skip_bounds_above
     skips = []
     for _, root in rows:
@@ -229,6 +231,7 @@ def cmd_table(args) -> int:
         if not skips[-1]:
             check_bound_height(*root)
     table = MultiplicityTable(cartan)
+    table.fill_box(*box)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "root_c0", "root_c1", "multiplicity", "bound1", "bound2", "gap1", "gap2"])
     for (n, root), skipped in zip(rows, skips):

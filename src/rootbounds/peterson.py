@@ -16,8 +16,9 @@ h(gamma) = c0 + c1, the series F = h log D satisfies F D = h D, so
     h(gamma) mult(gamma) = -F(gamma) - sum over d > 1, d | gamma of h(gamma/d) mult(gamma/d),
 
 with one checked exact division per cell and c_gamma = -F(gamma)/h(gamma).
-A table stores only the integer grids F and mult, and both recurrences run
-a row at a time; c is built from F when an entry is looked up.
+A table stores only the integer grids F and mult of one lower box, and
+each fill runs both recurrences over the whole box, a row at a time; c is
+built from F when an entry is looked up.
 The closed form of this logarithm is the Berman-Moody formula (Proc. AMS
 76, 1979).  Peterson's recursion (Kac 11.13) lives in the tests, as an
 independent check on every cell of a large box.
@@ -52,12 +53,13 @@ def check_box(c0max: int, c1max: int) -> None:
 
 @dataclass
 class MultiplicityTable:
-    """Memoized (c, mult) entries over a growing lower box.
+    """Exact (c, mult) entries over a lower box, each fill built whole.
 
     The state is two integer grids indexed [c0][c1]: ``_f`` holds F, the
     coefficients of h log D, and ``_m`` the multiplicity.  No entry is
     stored: ``entries`` is a read-only view that builds (Fraction c, mult)
-    from the grids at each lookup.
+    from the grids at each lookup.  A lookup outside the box refills, from
+    scratch, the least box that holds both, so fill the largest box first.
     """
 
     cartan: Rank2Cartan
@@ -75,70 +77,54 @@ class MultiplicityTable:
         return _Entries(self)
 
     def fill_box(self, c0max: int, c1max: int) -> None:
-        old0, old1 = self._box
-        if c0max <= old0 and c1max <= old1:
+        """Fill the lower box up to the max of (c0max, c1max) and the
+        current box.  A request inside the box does nothing; any other
+        builds new grids for the whole box and keeps them only once every
+        cell has passed its check, so a fill that raises changes nothing."""
+        c0max, c1max = max(c0max, self._box[0]), max(c1max, self._box[1])
+        if (c0max, c1max) == self._box:
             return
-        c0max = max(c0max, old0)
-        c1max = max(c1max, old1)
         check_box(c0max, c1max)
-        # every cell outside the old box starts at 0, also when an earlier
-        # fill raised and left its cells half divided
-        del self._f[old0 + 1 :], self._m[old0 + 1 :]
-        for f_row, m_row in zip(self._f, self._m):
-            f_row[old1 + 1 :] = [0] * (c1max - old1)
-            m_row[old1 + 1 :] = [0] * (c1max - old1)
-        for _ in range(c0max - old0):
-            self._f.append([0] * (c1max + 1))
-            self._m.append([0] * (c1max + 1))
         shifts = list(_weyl_shifts(c0max, c1max, self.cartan))
-        F, M = self._f, self._m
-        # the new cells start as h D, and dividing by D turns them into F
+        F = [[0] * (c1max + 1) for _ in range(c0max + 1)]
+        M = [[0] * (c1max + 1) for _ in range(c0max + 1)]
+        # the cells start as h D, and dividing by D turns them into F
         for a, b, sign in shifts:
-            if a > old0 or b > old1:
-                F[a][b] = (a + b) * sign
-        _divide_by_denominator(F, shifts, old0, old1)
+            F[a][b] = (a + b) * sign
+        _divide_by_denominator(F, shifts)
         # rest = h mult: -F less the terms h(gamma/d) mult(gamma/d) of the
         # divisors d > 1 of gamma = (x, y).  gcd(0, y) = y, so row 0 reads
         # itself: it is settled a cell at a time, each cell passing its term
         # on to its multiples.
-        if c1max > old1:
-            rest = [-f for f in F[0]]
-            for z in range(1, c1max + 1):
-                if z > old1:
-                    _settle(M[0], 0, z, rest[z : z + 1], self.r)
-                # the first multiple of z past both z and the old box
-                lo = max(2, old1 // z + 1) * z
-                if lo <= c1max:
-                    term = z * M[0][z]
-                    rest[lo::z] = [v - term for v in rest[lo::z]]
+        rest = [-f for f in F[0]]
+        for z in range(1, c1max + 1):
+            _settle(M[0], 0, z, rest[z : z + 1], self.r)
+            term = z * M[0][z]
+            rest[2 * z :: z] = [v - term for v in rest[2 * z :: z]]
         for x in range(1, c0max + 1):
-            start = 0 if x > old0 else old1 + 1
-            if start > c1max:
-                continue
-            rest = [-f for f in F[x][start:]]
+            rest = [-f for f in F[x]]
             # for d | x the divisor terms lie along the slice y = 0 mod d
             for d in range(2, x + 1):
                 if x % d == 0:
-                    xd, z0 = x // d, -(-start // d)
-                    cut = slice(z0 * d - start, None, d)
-                    terms = zip(rest[cut], count(xd + z0), M[xd][z0:])
-                    rest[cut] = [v - h * m for v, h, m in terms]
-            _settle(M[x], x, start, rest, self.r)
-        self._box = (c0max, c1max)
+                    terms = zip(rest[::d], count(x // d), M[x // d])
+                    rest[::d] = [v - h * m for v, h, m in terms]
+            _settle(M[x], x, 0, rest, self.r)
+        self._f, self._m, self._box = F, M, (c0max, c1max)
 
     def entry(self, weight) -> tuple[Fraction, int]:
         c0, c1 = weight
         if c0 < 0 or c1 < 0 or (c0, c1) == (0, 0):
             raise ValueError(f"multiplicity needs a nonzero nonnegative weight, got {(c0, c1)}")
-        self.fill_box(c0, c1)
+        if c0 > self._box[0] or c1 > self._box[1]:
+            self.fill_box(c0, c1)
         return self.entries[Weight(c0, c1)]
 
 
-def _settle(m_row: list[int], x: int, start: int, rest: list[int], r: int) -> None:
-    """Set m_row[y] = rest[y - start] / h(x, y) for each y from start, after
+def _settle(m_row: list[int], x: int, y0: int, rest: list[int], r: int) -> None:
+    """Set m_row[y] = rest[y - y0] / h(x, y) for each y from y0, after
     checking that the division is exact and the result fits the root class."""
     xx, rx = x * x, r * x
-    for y, hm in enumerate(rest, start):
+    for y, hm in enumerate(rest, y0):
         h = x + y
         m, rem = divmod(hm, h)
         # q is half the norm: a real root (q = 1) has mult 1, an imaginary
@@ -197,6 +183,7 @@ def kostant_count(weight, cartan: Rank2Cartan) -> int:
     c0, c1 = weight
     if c0 < 0 or c1 < 0:
         raise ValueError("Kostant count needs a nonnegative weight")
+    check_box(c0, c1)
     return _kostant_grid(c0, c1, cartan)[c0][c1]
 
 
@@ -222,36 +209,31 @@ def _kostant_grid(c0max: int, c1max: int, cartan: Rank2Cartan) -> list[list[int]
     the coefficients of 1/D."""
     K = [[0] * (c1max + 1) for _ in range(c0max + 1)]
     K[0][0] = 1
-    _divide_by_denominator(K, list(_weyl_shifts(c0max, c1max, cartan)), 0, 0)
+    _divide_by_denominator(K, list(_weyl_shifts(c0max, c1max, cartan)))
     return K
 
 
-def _divide_by_denominator(G: list[list[int]], shifts, old0: int, old1: int) -> None:
-    """Divide the series G by D in place at every cell outside the lower box
-    (old0, old1): G(gamma) -= sum over w != 1 of eps(w) G(gamma - (rho - w rho)).
+def _divide_by_denominator(G: list[list[int]], shifts) -> None:
+    """Divide the series G by D in place over the whole box:
+    G(gamma) -= sum over w != 1 of eps(w) G(gamma - (rho - w rho)).
 
     Every shift is nonzero and nonnegative, so row-major order reaches each
     cell after every cell it reads.  A shift (a, b) with a > 0 reads the
-    finished row x - a and takes one pass over the new part of row x.  The
-    one shift with a = 0, alpha_1 = (0, 1) of s_1 (each later step of
-    either chain raises c0), reads row x itself, so it runs last, as a
-    running sum along each residue class of y mod b.
+    finished row x - a and takes one pass over row x.  The one shift with
+    a = 0, alpha_1 = (0, 1) of s_1 (each later step of either chain raises
+    c0), reads row x itself, so it runs last, as a running sum along each
+    residue class of y mod b.
     """
     across = [(a, b, sub if sign > 0 else add) for a, b, sign in shifts if a]
     # accumulate's step takes (new G at y - b, old G at y)
     along = [(b, _rsub if sign > 0 else add) for a, b, sign in shifts if not a]
     for x, row in enumerate(G):
         n = len(row)
-        start = 0 if x > old0 else old1 + 1
-        if start >= n:
-            continue
         for a, b, op in across:
-            lo = max(start, b)
-            if a <= x and lo < n:
-                row[lo:] = map(op, row[lo:], G[x - a][lo - b : n - b])
+            if a <= x and b < n:
+                row[b:] = map(op, row[b:], G[x - a][: n - b])
         for b, step in along:
-            lo = max(start, b)
-            for y0 in range(lo - b, min(lo, n - b)):
+            for y0 in range(min(b, n - b)):
                 row[y0::b] = accumulate(row[y0::b], step)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rootbounds.cli
-from rootbounds import Rank2Cartan
+from rootbounds import Rank2Cartan, kostant_count, multiplicity, peterson
 from rootbounds.cli import THREADS_ENV, build_parser, main
 from rootbounds.counting import MAX_BOUND_HEIGHT, MAX_LISTED_PATHS, bound1, bound2, bound_report
 from rootbounds.peterson import MAX_CELLS, MultiplicityTable
@@ -274,6 +274,38 @@ def test_table_custom_needs_roots(capsys):
     assert "--roots" in err
 
 
+def test_table_fills_its_box_once(capsys, monkeypatch):
+    # rows in any order cost one fill of the box that holds them all, and
+    # each row's multiplicity is a lookup in it
+    calls = []
+    fill = MultiplicityTable.fill_box
+
+    def recorded(self, *box):
+        calls.append(box)
+        return fill(self, *box)
+
+    monkeypatch.setattr(MultiplicityTable, "fill_box", recorded)
+    code, out, err = run_cli(capsys, "table", "--family", "custom", "--roots", "20,19;3,2;5,8")
+    assert (code, err) == (0, "")
+    assert calls == [(20, 19)]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    roots = [(20, 19), (3, 2), (5, 8)]
+    assert [(int(c0), int(c1)) for _, c0, c1, *_ in rows] == roots
+    for row, root in zip(rows, roots):
+        assert int(row[3]) == multiplicity(root, Rank2Cartan(3)), root
+
+
+def test_table_fill_failure_writes_nothing(capsys, monkeypatch):
+    shifts = peterson._weyl_shifts
+    monkeypatch.setattr(
+        peterson, "_weyl_shifts", lambda *box: [s for s in shifts(*box) if s != (4, 1, 1)]
+    )
+    code, out, err = run_cli(capsys, "table", "--family", "staircase", "--max-n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: multiplicity at (4, 1) ")
+    assert err.count("\n") == 1
+
+
 def test_stats_smallest(capsys):
     code, out, _ = run_cli(capsys, "stats", "--k", "1", "--distance", "0", "--samples", "100")
     assert code == 0
@@ -437,6 +469,16 @@ def test_library_fill_refuses_runaway_box(monkeypatch):
     with pytest.raises(ValueError, match="more than"):
         table.entry((10**9, 10**9))
     assert len(table.entries) == 0
+
+
+def test_kostant_count_refuses_runaway_box(monkeypatch):
+    def no_work(*args):
+        raise RuntimeError("grid started")
+
+    monkeypatch.setattr("rootbounds.peterson._weyl_shifts", no_work)
+    for weight in ((1024, 1023), (0, MAX_CELLS)):
+        with pytest.raises(ValueError, match=f"more than {MAX_CELLS}$"):
+            kostant_count(weight, Rank2Cartan(3))
 
 
 def test_bad_int_option_is_one_error_line(capsys):

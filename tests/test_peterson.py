@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from copy import deepcopy
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
@@ -279,17 +280,22 @@ def test_fill_refuses_a_dropped_weyl_shift(monkeypatch, r, dropped):
 
 @pytest.mark.parametrize("old_box", [(0, 0), (3, 5)], ids=str)
 def test_retry_after_a_failed_fill_matches_fresh_fill(monkeypatch, cartan3, old_box):
-    # a fill that raises leaves its new cells half divided; the next fill
-    # on the same table must start them over, not divide them again
+    # a fill builds its grids apart and keeps them only when every cell has
+    # passed, so one that raises leaves the table's grids and box as they
+    # were, the same objects with the same values; a retry is a plain fill
     table = MultiplicityTable(cartan3)
     table.fill_box(*old_box)
+    before = (table._f, table._m, table._box)
+    values = deepcopy(before)
     with monkeypatch.context() as patch:
         patch.setattr(
             peterson, "_weyl_shifts", lambda *box: [s for s in _weyl_shifts(*box) if s != (4, 1, 1)]
         )
         with pytest.raises(ArithmeticError, match=r"^multiplicity at \(4, 1\) "):
             table.fill_box(10, 10)
-    assert table._box == old_box
+    after = (table._f, table._m, table._box)
+    assert all(now is then for now, then in zip(after, before))
+    assert after == values
     table.fill_box(10, 10)
     fresh = MultiplicityTable(cartan3)
     fresh.fill_box(10, 10)
