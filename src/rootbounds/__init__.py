@@ -22,7 +22,6 @@ from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
 from .peterson import MultiplicityTable, kostant_count, multiplicity
 from .stability_filters import FilterLevel, cond1, cond1_pair, cond2, passes_filters
 from .string_data import (
-    StringData,
     count_valid_string_data,
     is_dyck,
     littelmann_roots,
@@ -41,7 +40,6 @@ __all__ = [
     "MultiplicityTable",
     "Rank2Cartan",
     "RootClass",
-    "StringData",
     "VisitsReport",
     "Weight",
     "bilinear_form",

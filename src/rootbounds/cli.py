@@ -176,16 +176,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    data = word_to_runs(args.word)
-    runs = data.runs
-    w = weight_of(data)
+    runs = word_to_runs(args.word)
+    w = weight_of(runs)
     cartan = Rank2Cartan(args.r)
     payload = {
         "word": args.word,
-        "runs": [int(a) for a in runs],
+        "runs": list(runs),
         "weight": [w.c0, w.c1],
-        "littelmann_valid": littelmann_valid(data, cartan),
-        "is_dyck": is_dyck(data),
+        "littelmann_valid": littelmann_valid(runs, cartan),
+        "is_dyck": is_dyck(runs),
         # the run-pair conditions assume every run >= 1, so words that
         # start with 0 get null here rather than a made-up verdict
         "cond1": cond1(runs, cartan) if all(a >= 1 for a in runs) else None,

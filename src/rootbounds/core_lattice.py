@@ -14,13 +14,24 @@ from math import comb, gcd
 from typing import NamedTuple
 
 
+def is_int(value) -> bool:
+    """Whether value is a plain int; bool is an int, and True would pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Rank2Cartan:
-    """The single parameter r defining the Cartan matrix [[2, -r], [-r, 2]]."""
+    """The single parameter r defining the Cartan matrix [[2, -r], [-r, 2]].
+
+    r must be a plain int: a float breaks the exact arithmetic, and a
+    numpy integer would move it into wrapping fixed-width arithmetic.
+    """
 
     r: int
 
     def __post_init__(self) -> None:
+        if not is_int(self.r):
+            raise ValueError(f"r must be an integer, got {self.r!r}")
         if self.r < 3:
             raise ValueError(f"hyperbolic regime requires r >= 3, got {self.r}")
 
@@ -76,29 +87,19 @@ def simple_reflection(i: int, v, cartan: Rank2Cartan) -> tuple[int, int]:
 def classify(v, cartan: Rank2Cartan) -> RootClass:
     """Sort a nonzero nonnegative weight into real root / imaginary root / neither.
 
-    Imaginary means norm <= 0.  A norm-2 weight is a real root exactly
-    when repeated height-decreasing simple reflections land on a simple
-    root; the descent is attempted rather than assumed to succeed.
+    The half norm q = c0^2 + c1^2 - r*c0*c1 decides: imaginary when
+    q <= 0, real when q = 1, no root otherwise.  Every solution of q = 1
+    is a real root: with c0 >= c1 > 0, s0 gives r*c1 - c0 = (c1^2 - 1)/c0,
+    which is nonnegative and less than c0, so height-decreasing simple
+    reflections keep q = 1 down to (1, 0) or (0, 1) (Vieta jumping).
     """
     c0, c1 = v
     if (c0, c1) == (0, 0):
         raise ValueError("zero weight has no root class")
-    if bilinear_form(v, v, cartan) <= 0:
+    q = c0 * c0 + c1 * c1 - cartan.r * c0 * c1
+    if q <= 0:
         return RootClass.IMAGINARY
-    if bilinear_form(v, v, cartan) != 2:
-        return RootClass.NOT_A_ROOT
-    # Weyl descent
-    while (c0, c1) not in ((1, 0), (0, 1)):
-        stepped = False
-        for i in (0, 1):
-            n0, n1 = simple_reflection(i, (c0, c1), cartan)
-            if n0 >= 0 and n1 >= 0 and n0 + n1 < c0 + c1:
-                c0, c1 = n0, n1
-                stepped = True
-                break
-        if not stepped:
-            return RootClass.NOT_A_ROOT
-    return RootClass.REAL
+    return RootClass.REAL if q == 1 else RootClass.NOT_A_ROOT
 
 
 def dyck_count(n: int, m: int) -> int:

@@ -31,9 +31,11 @@ weighted steps finds each cut, and the rotated word is the window of
 the doubled row that starts there.  Their runs are decoded once, into
 one flat list of run lengths, row after row.  cond1 compares every run
 with the limit table of the run before it in its row and counts the
-failures per row.  Only cond1's survivors are laid out as padded pair
-matrices of up and right runs, on which cond2 runs in one dense pass,
-with r clamped to 2m, past which every cond2 step holds.
+failures per row.  cond2 reads the runs of cond1's survivors from the
+same flat list: each row's prefix sums come off global cumsums, and its
+running min off one running min over the list, each row lowered below
+the rows before it, with r clamped to 2m, past which every cond2 step
+holds.
 
 The visit statistic at (k+1, k) rotates nothing: the weighted height
 there is (k + 1/2)*D + i/2 for the +-1 walk D of the word, so the cut is
@@ -58,7 +60,7 @@ from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core_lattice import Rank2Cartan, dyck_count
+from .core_lattice import Rank2Cartan, dyck_count, is_int
 from .limits import DEFAULT_CHUNK, MAX_THREADS
 from .stability_filters import FilterLevel, cond1_limit, cond1_limits, cond2_step
 from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
@@ -70,7 +72,7 @@ MAX_CHUNKS = 1 << 20
 # most this many bytes, so its memory does not grow with the chunk size
 SUB_BATCH_BYTES = 1 << 20
 # estimate and stats refuse longer words, one row of which would outgrow a
-# sub-batch; it also keeps the dense cond2 pass inside int64
+# sub-batch; it also keeps the flat cond2 pass inside int64
 MAX_LETTERS = SUB_BATCH_BYTES // 8
 
 
@@ -170,20 +172,16 @@ def _check_letters(letters: int) -> None:
 
 
 def _check_seed(seed) -> None:
-    # numpy's SeedSequence would refuse it only when the first chunk is drawn
-    if not isinstance(seed, Integral) or seed < 0:
+    # numpy's SeedSequence would refuse it only when the first chunk is
+    # drawn; bool is an Integral, and True would pass for 1
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-def _is_int(value) -> bool:
-    # bool is an int, and True would pass for 1
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
     """The sizes of the chunks that draw `samples` rows, chunk index = position."""
     for name, value in (("samples", samples), ("chunk", chunk)):
-        if not _is_int(value):
+        if not is_int(value):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -257,34 +255,15 @@ def _cond1_rows(runs: np.ndarray, row: np.ndarray, lim: np.ndarray, B: int) -> n
     return np.bincount(row[1:][bad], minlength=B) == 0
 
 
-def _run_pairs(
-    runs: np.ndarray, row: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows where keep holds as padded int64 pair matrices U, V and their pad mask.
-
-    Row b's up runs fill row b of U and its right runs row b of V; a row
-    with fewer pairs than the widest is padded with zero pairs, which the
-    mask marks.
-    """
-    npairs = np.bincount(row, minlength=len(keep))[keep] // 2
-    pairs = runs[keep[row]].reshape(-1, 2)
-    pad = np.arange(npairs.max(initial=0)) >= npairs[:, None]
-    U = np.zeros(pad.shape, dtype=np.int64)
-    V = np.zeros(pad.shape, dtype=np.int64)
-    # a boolean mask fills its cells row-major, each row's pairs in order
-    U[~pad] = pairs[:, 0]
-    V[~pad] = pairs[:, 1]
-    return U, V, pad
-
-
-def _cond2_pass_rows(
-    U: np.ndarray, V: np.ndarray, pad: np.ndarray, n: int, m: int, r: int
+def _cond2_rows(
+    runs: np.ndarray, row: np.ndarray, keep: np.ndarray, n: int, m: int, r: int
 ) -> np.ndarray:
-    """cond2 over every row of the pair matrices of rotated words to (n, m).
+    """cond2 for each rotated word to (n, m) where keep holds, from the flat runs of _runs.
 
-    With the exclusive prefix sums O, E and low = min(m, f over the earlier
-    pairs), f = 2*O + U - r*E, each pair is decided by cond2_step, exactly
-    as cond2 does it one row at a time; pad pairs are masked out.
+    With a row's exclusive prefix sums O, E and low = min(m, f over the
+    row's earlier pairs), f = 2*O + u - r*E, each up run u is decided by
+    cond2_step, exactly as cond2 does it one row at a time; a row where
+    keep fails is False.
     """
     # every step holds once r >= 2m, so r = 2m decides the same: past the
     # first pair E >= 1, and each candidate f(x) + r*E of low + r*E is
@@ -292,15 +271,33 @@ def _cond2_pass_rows(
     # factor is at least (r - m)*n >= m*n > E*m; the first pair reads
     # 0 <= (m - u)*n
     r = min(r, 2 * m)
-    # |terms of cond2_step| <= 2*(r+1)*N^2 <= 4*N^3, and N <= MAX_LETTERS
-    # = 2^17 keeps that at most 2^53, well inside int64
-    O = np.cumsum(U, axis=1) - U
-    E = np.cumsum(V, axis=1) - V
-    low = np.empty_like(U)
-    low[:, 0] = m
-    low[:, 1:] = np.minimum.accumulate(2 * O + U - r * E, axis=1)[:, :-1]
-    low = np.minimum(low, m)
-    return (cond2_step(O, E, low, U, n, m, r) | pad).all(axis=1)
+    sel = keep[row]
+    pairs = runs[sel].reshape(-1, 2)
+    U, V = pairs[:, 0], pairs[:, 1]
+    prow = row[sel][0::2]
+    first = np.empty(len(prow), dtype=bool)
+    first[:1] = True
+    np.not_equal(prow[1:], prow[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    size = np.diff(start, append=len(prow))
+    O = np.cumsum(U) - U
+    E = np.cumsum(V) - V
+    O -= np.repeat(O[start], size)
+    E -= np.repeat(E[start], size)
+    # f lies in [-r*n, 3*m] and K passes its spread, so lowering the f of
+    # row b by b*K puts a row's f below those of the rows before it, and one
+    # running min over the flat list never reaches back past a row's first
+    # pair.  With r <= 2m and N <= MAX_LETTERS = 2^17, every term stays
+    # below 2^53: a sub-batch has at most 2^17/N rows and K <= (2N + 1)^2,
+    # and the terms of cond2_step are at most 2*(r+1)*N^2 <= 4*N^3
+    K = 2 * (r + 2) * (n + m) + 1
+    f = 2 * O + U - r * E - prow * K
+    low = np.empty_like(f)
+    low[1:] = np.minimum.accumulate(f)[:-1] + prow[1:] * K
+    low[first] = m
+    np.minimum(low, m, out=low)
+    bad = ~cond2_step(O, E, low, U, n, m, r)
+    return keep & (np.bincount(prow[bad], minlength=len(keep)) == 0)
 
 
 def _lone_one_limit(cartan: Rank2Cartan) -> int:
@@ -340,7 +337,7 @@ def _estimate_chunk(args) -> int:
         runs, row = _runs(R)
         ok = _cond1_rows(runs, row, lim, len(R))
         if level is FilterLevel.COND2 and ok.any():
-            ok = _cond2_pass_rows(*_run_pairs(runs, row, ok), n, m, r)
+            ok = _cond2_rows(runs, row, ok, n, m, r)
         hits += int(ok.sum())
     return hits
 
@@ -367,7 +364,7 @@ def estimate_bound(
     if level not in (FilterLevel.COND1, FilterLevel.COND2):
         raise ValueError("estimation targets the cond1 or cond2 filter")
     sizes = _chunk_sizes(samples, chunk)
-    if not _is_int(threads) or threads < 1:
+    if not is_int(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if threads > MAX_THREADS:
         raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")

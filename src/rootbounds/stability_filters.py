@@ -13,7 +13,7 @@ from math import isqrt
 from typing import Sequence
 
 from .core_lattice import Rank2Cartan
-from .string_data import StringData, _runs, is_dyck, weight_of
+from .string_data import is_dyck, weight_of
 
 
 class FilterLevel(enum.Enum):
@@ -46,8 +46,7 @@ def cond1_limits(size: int, r: int) -> list[int]:
     return [min(cond1_limit(a, r), size) for a in range(size + 1)]
 
 
-def cond1(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
-    runs = _runs(data)
+def cond1(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
     return all(cond1_pair(runs[k], runs[k + 1], cartan) for k in range(len(runs) - 1))
 
 
@@ -76,7 +75,7 @@ def cond2_low(low: int, O: int, E: int, u: int, r: int) -> int:
     return min(low, 2 * O + u - r * E)
 
 
-def cond2(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
+def cond2(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
     """Partial-sum slope inequalities for a complete (even-length) sequence.
 
     With odd/even prefix sums O_i = a1+a3+...+a_{2i-1} and
@@ -92,7 +91,6 @@ def cond2(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
     smallest f(x) with x <= y matters; one pass keeps that running min
     and checks each y with cond2_step.
     """
-    runs = _runs(data)
     if len(runs) % 2 != 0:
         raise ValueError("condition defined for complete paths (even run count)")
     n, m = weight_of(runs)
@@ -108,9 +106,8 @@ def cond2(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
     return True
 
 
-def passes_filters(data: StringData | Sequence[int], cartan: Rank2Cartan, level: FilterLevel) -> bool:
+def passes_filters(runs: Sequence[int], cartan: Rank2Cartan, level: FilterLevel) -> bool:
     """Cumulative filter: COND1 implies the Dyck test, COND2 implies both."""
-    runs = _runs(data)
     if not is_dyck(runs):
         return False
     if level is FilterLevel.DYCK:

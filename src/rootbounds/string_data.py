@@ -4,24 +4,23 @@ A word over {0, 1} is recorded by its runs (a1, a2, ...): a1 letters 1,
 then a2 letters 0, alternating.  Odd-indexed runs are always the letter 1
 (steps in alpha1, drawn as "up"), even-indexed runs the letter 0 (alpha0,
 "right"); a1 = 0 encodes words that start with 0.  A run sequence is
-canonical when every run after the first is >= 1.
+canonical when every run after the first is >= 1.  word_to_runs returns
+it as a plain tuple of ints, and every function here and in
+stability_filters takes it as any sequence of ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import combinations, islice, pairwise
-from typing import Iterable, NamedTuple, Sequence
+from math import isqrt
+from typing import Iterable, Sequence
 
-from .core_lattice import Rank2Cartan, Weight
+from .core_lattice import Rank2Cartan, Weight, is_int
 
-
-class StringData(NamedTuple):
-    runs: tuple[int, ...]
-
-
-def _runs(data: StringData | Sequence[int]) -> tuple[int, ...]:
-    return tuple(data.runs if isinstance(data, StringData) else data)
+# littelmann_roots refuses a count whose roots would hold more bits than
+# this, 16 MiB
+MAX_ROOT_BITS = 1 << 27
 
 
 def _as_bits(word: Iterable) -> list[int]:
@@ -36,7 +35,7 @@ def _as_bits(word: Iterable) -> list[int]:
     return bits
 
 
-def word_to_runs(word: Iterable) -> StringData:
+def word_to_runs(word: Iterable) -> tuple[int, ...]:
     """Canonical run encoding; inverse of runs_to_word."""
     bits = _as_bits(word)
     runs: list[int] = []
@@ -51,11 +50,10 @@ def word_to_runs(word: Iterable) -> StringData:
             cur = 1
     if bits:
         runs.append(cur)
-    return StringData(tuple(runs))
+    return tuple(runs)
 
 
-def runs_to_word(data: StringData | Sequence[int]) -> str:
-    runs = _runs(data)
+def runs_to_word(runs: Sequence[int]) -> str:
     if any(a < 1 for a in runs[1:]) or (runs and runs[0] < 0):
         raise ValueError(f"non-canonical run sequence {runs}")
     out = []
@@ -66,19 +64,17 @@ def runs_to_word(data: StringData | Sequence[int]) -> str:
     return "".join(out)
 
 
-def weight_of(data: StringData | Sequence[int]) -> Weight:
+def weight_of(runs: Sequence[int]) -> Weight:
     """c0 = total letter-0 (even-indexed) run length, c1 = total letter-1."""
-    runs = _runs(data)
     return Weight(sum(runs[1::2]), sum(runs[0::2]))
 
 
-def is_dyck(data: StringData | Sequence[int]) -> bool:
+def is_dyck(runs: Sequence[int]) -> bool:
     """Path stays weakly above the straight diagonal to its endpoint.
 
     Checked by exact cross-multiplication x*m <= y*n at the end of every
     right run, which is where the path is lowest.
     """
-    runs = _runs(data)
     if not runs:
         return True
     if len(runs) % 2 != 0 or runs[0] < 1 or any(a < 1 for a in runs):
@@ -111,13 +107,19 @@ def littelmann_roots(cartan: Rank2Cartan, count: int) -> list[Weight]:
     """The first count measuring roots beta_1 = alpha0, beta_2 = s0(alpha1), ...
 
     For r = 3 the coordinates run through even-index Fibonacci numbers.
+    The j-th root has about j*log2(r) bits in each coordinate, so the list
+    holds about count^2 * log2(r) bits; a count whose list would pass
+    MAX_ROOT_BITS is refused before any root is made.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not is_int(count) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    most = isqrt(MAX_ROOT_BITS // cartan.r.bit_length())
+    if count > most:
+        raise ValueError(f"count must be at most {most} at r = {cartan.r}, got {count}")
     return list(islice(_measuring_roots(cartan), count))
 
 
-def littelmann_valid(data: StringData | Sequence[int], cartan: Rank2Cartan) -> bool:
+def littelmann_valid(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
     """Whether a run sequence is the string data of a crystal element.
 
     The criterion compares consecutive runs against the measuring roots:
@@ -126,7 +128,6 @@ def littelmann_valid(data: StringData | Sequence[int], cartan: Rank2Cartan) -> b
     about 1.39 bits a step at r = 3, so they are made two at a time and
     the walk stops at the first failing pair.
     """
-    runs = _runs(data)
     pairs = pairwise(_measuring_roots(cartan))
     for a_cur, a_next, (bj, bj1) in zip(runs[1:], runs[2:], pairs):
         if a_next * bj.c0 > a_cur * bj1.c0 or a_next * bj.c1 > a_cur * bj1.c1:

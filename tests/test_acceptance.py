@@ -142,7 +142,7 @@ def test_a09_rotation_fiber_sizes():
                 continue
             W = np.array(list(all_words(n, m)), dtype=np.int8)
             R = _rotate_batch(W, n, m)
-            fibers = Counter(word_to_runs(row).runs for row in R)
+            fibers = Counter(word_to_runs(row) for row in R)
             assert len(fibers) == dyck_count(n, m), (n, m)
             assert set(fibers.values()) == {total}, (n, m)
 

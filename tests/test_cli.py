@@ -641,6 +641,20 @@ def test_sampler_is_the_only_numpy_module():
     ]
 
 
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, and the package's checks must
+    # hold under it
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert "sampler.py" in [path.name for path in paths]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_commands_call_the_cli_module_attributes(capsys, monkeypatch):
     # bench/tracing.py times the sampler by replacing these two attributes
     calls = []

@@ -1,5 +1,6 @@
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from conftest import mobius
 from hypothesis import given
@@ -27,6 +28,14 @@ def test_cartan_rejects_affine_and_finite():
     with pytest.raises(ValueError):
         Rank2Cartan(0)
     Rank2Cartan(3)
+
+
+@pytest.mark.parametrize("r", [3.5, 3.0, np.int64(3), True, "3", None], ids=repr)
+def test_cartan_refuses_r_that_is_not_an_int(r):
+    # a float r broke the exact arithmetic later, and a numpy r moved the
+    # multiplicity fill into wrapping int64 arithmetic
+    with pytest.raises(ValueError, match=r"^r must be an integer, got "):
+        Rank2Cartan(r)
 
 
 def test_form_values(cartan3):
@@ -74,6 +83,38 @@ def test_classify_examples(cartan3):
     assert classify((21, 8), cartan3) is RootClass.REAL
     with pytest.raises(ValueError):
         classify((0, 0), cartan3)
+
+
+def _classify_by_descent(v, cartan):
+    """The root class by Weyl descent: a weight of norm 2 is a real root when
+    height-decreasing simple reflections take it to a simple root."""
+    if bilinear_form(v, v, cartan) <= 0:
+        return RootClass.IMAGINARY
+    if bilinear_form(v, v, cartan) != 2:
+        return RootClass.NOT_A_ROOT
+    c0, c1 = v
+    while (c0, c1) not in ((1, 0), (0, 1)):
+        for i in (0, 1):
+            n0, n1 = simple_reflection(i, (c0, c1), cartan)
+            if n0 >= 0 and n1 >= 0 and n0 + n1 < c0 + c1:
+                c0, c1 = n0, n1
+                break
+        else:
+            return RootClass.NOT_A_ROOT
+    return RootClass.REAL
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 11, 2**62], ids=["3", "4", "5", "6", "11", "2^62"])
+def test_classify_matches_weyl_descent(r):
+    cartan = Rank2Cartan(r)
+    seen = set()
+    for c0 in range(120):
+        for c1 in range(120):
+            if (c0, c1) != (0, 0):
+                cls = classify((c0, c1), cartan)
+                assert cls is _classify_by_descent((c0, c1), cartan), (c0, c1)
+                seen.add(cls)
+    assert seen == set(RootClass)
 
 
 @given(

@@ -26,11 +26,10 @@ from rootbounds.sampler import (
     _cond1_rows,
     _cond1_screen,
     _cond1_table,
-    _cond2_pass_rows,
+    _cond2_rows,
     _estimate_chunk,
     _lone_one_limit,
     _rotate_batch,
-    _run_pairs,
     _runs,
     _sig6,
     _sqrt_sig6,
@@ -59,7 +58,7 @@ def _reference_rotation(W, n, m):
 
 
 def _reference_pairs(R):
-    """The padded pair matrices U, V and pad mask of rotated words, decoded from the matrix."""
+    """The padded pair matrices U, V of rotated words, decoded from the matrix."""
     B, N = R.shape
     ends = np.empty((B, N), dtype=bool)
     np.not_equal(R[:, 1:], R[:, :-1], out=ends[:, :-1])
@@ -74,7 +73,7 @@ def _reference_pairs(R):
     V = np.zeros((B, K), dtype=np.int64)
     U[row, col] = pairs[:, 0]
     V[row, col] = pairs[:, 1]
-    return U, V, np.arange(K) >= npairs[:, None]
+    return U, V
 
 
 def _cond1_pass(U, V, lim):
@@ -104,7 +103,7 @@ def test_rotation_fibers_follow_cycle_lemma():
                 continue
             W = np.array(list(all_words(n, m)), dtype=np.int8)
             R = _rotate_batch(W, n, m)
-            fibers = Counter(word_to_runs(row).runs for row in R)
+            fibers = Counter(word_to_runs(row) for row in R)
             assert len(fibers) == dyck_count(n, m), (n, m)
             assert set(fibers.values()) == {total}, (n, m)
             for runs in fibers:
@@ -115,7 +114,7 @@ def test_sampling_is_uniform():
     n, m = 4, 3
     draws = 100_000
     R = _rotate_batch(_whole_chunk(n, m, seed=123, index=0, size=draws), n, m)
-    counts = Counter(word_to_runs(row).runs for row in R)
+    counts = Counter(word_to_runs(row) for row in R)
     assert len(counts) == 5
     expected = draws / 5
     four_sigma = 4 * (draws * 0.2 * 0.8) ** 0.5
@@ -299,7 +298,7 @@ def test_visits_limit_value():
     assert abs(float(report.mean) - 8.0) / 8.0 < 0.15
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False])
 def test_bad_seed_is_refused_before_any_work(monkeypatch, cartan3, seed):
     def no_work(*args):
         raise RuntimeError("work started")
@@ -379,30 +378,33 @@ def test_visits_pinned_outputs():
 def _unscreened_chunk(n, m, r, level, seed, index, size):
     """The chunk counter before the cond1 screen, the window gather and the flat cond1."""
     R = _reference_rotation(_whole_chunk(n, m, seed, index, size), n, m)
-    U, V, _ = _reference_pairs(R)
+    U, V = _reference_pairs(R)
     ok = _cond1_pass(U, V, _cond1_table(n + m, r))
     if level is FilterLevel.COND1:
         return int(ok.sum())
     cartan = Rank2Cartan(r)
-    return sum(cond2(word_to_runs(R[i]).runs, cartan) for i in np.flatnonzero(ok))
+    return sum(cond2(word_to_runs(R[i]), cartan) for i in np.flatnonzero(ok))
 
 
 # at 2**62 the pass clamps r to 2m, where every step holds, so its terms stay in int64
 @pytest.mark.parametrize("r", [3, 4, 5, 2**62], ids=["3", "4", "5", "2^62"])
 def test_cond2_batch_matches_scalar(r):
     # every rotated word, not only cond1's survivors; a batch of all words
-    # of one type mixes run counts, so short rows are padded
+    # of one type mixes run counts, so the flat runs change rows at
+    # different offsets, and masking rows out leaves gaps between the rows
+    # the running min walks
     cartan = Rank2Cartan(r)
     assert {(2, 1), (1, 2)} <= set(SMALL_TYPES)
-    padded = 0
+    mixed = 0
     for n, m in SMALL_TYPES:
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
-        runs = [word_to_runs(row).runs for row in R]
-        pairs = _run_pairs(*_runs(R), np.ones(len(R), dtype=bool))
-        got = _cond2_pass_rows(*pairs, n, m, r)
-        assert got.tolist() == [cond2(a, cartan) for a in runs], (n, m)
-        padded += len({len(a) for a in runs}) > 1
-    assert padded > len(SMALL_TYPES) // 2
+        runs = [word_to_runs(row) for row in R]
+        want = np.array([cond2(a, cartan) for a in runs])
+        for keep in (np.ones(len(R), dtype=bool), np.arange(len(R)) % 3 != 1):
+            got = _cond2_rows(*_runs(R), keep, n, m, r)
+            assert got.tolist() == (want & keep).tolist(), (n, m)
+        mixed += len({len(a) for a in runs}) > 1
+    assert mixed > len(SMALL_TYPES) // 2
 
 
 def test_lone_one_limit():
@@ -421,10 +423,10 @@ def test_cond1_batch_matches_scalar(r):
     for n, m in SMALL_TYPES:
         lim = _cond1_table(n + m, r)
         R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
-        runs = [word_to_runs(row).runs for row in R]
+        runs = [word_to_runs(row) for row in R]
         want = [cond1(a, cartan) for a in runs]
         assert _cond1_rows(*_runs(R), lim, len(R)).tolist() == want, (n, m)
-        assert _cond1_pass(*_reference_pairs(R)[:2], lim).tolist() == want, (n, m)
+        assert _cond1_pass(*_reference_pairs(R), lim).tolist() == want, (n, m)
         verdicts.update(want)
         mixed += len({len(a) for a in runs}) > 1
     assert verdicts == ({True} if r == 2**62 else {True, False})
@@ -433,24 +435,14 @@ def test_cond1_batch_matches_scalar(r):
     assert _cond1_rows(*_runs(empty), _cond1_table(7, r), 0).shape == (0,)
 
 
-def test_run_pairs_of_no_rows():
+def test_cond2_rows_of_no_rows():
     # the screen can mark every row of a chunk, and cond1 can fail every row
     runs, row = _runs(_rotate_batch(np.zeros((0, 7), dtype=np.int64), 3, 4))
     assert runs.shape == row.shape == (0,)
-    U, V, pad = _run_pairs(runs, row, np.zeros(0, dtype=bool))
-    assert U.shape == V.shape == pad.shape == (0, 0)
+    assert _cond2_rows(runs, row, np.zeros(0, dtype=bool), 3, 4, 3).shape == (0,)
     R = _rotate_batch(np.array(list(all_words(3, 4)), dtype=np.int8), 3, 4)
-    U, V, pad = _run_pairs(*_runs(R), np.zeros(len(R), dtype=bool))
-    assert U.shape == V.shape == pad.shape == (0, 0)
-
-
-def test_run_pairs_keep_the_chosen_rows():
-    for n, m in SMALL_TYPES:
-        R = _rotate_batch(np.array(list(all_words(n, m)), dtype=np.int8), n, m)
-        keep = np.arange(len(R)) % 3 != 1
-        got = _run_pairs(*_runs(R), keep)
-        want = _reference_pairs(R[keep])
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, m)
+    got = _cond2_rows(*_runs(R), np.zeros(len(R), dtype=bool), 3, 4, 3)
+    assert got.tolist() == [False] * len(R)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -469,7 +461,7 @@ def test_cond1_screen_marks_only_failing_words(r):
                 assert not marked.any(), (n, m)
             R = _rotate_batch(W[marked], n, m)
             for row in R:
-                assert not cond1(word_to_runs(row).runs, cartan), (n, m, row)
+                assert not cond1(word_to_runs(row), cartan), (n, m, row)
             marked_any |= bool(marked.any())
     assert marked_any
 

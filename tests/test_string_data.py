@@ -9,7 +9,6 @@ from rootbounds import (
     ALPHA1,
     FilterLevel,
     Rank2Cartan,
-    StringData,
     Weight,
     count_valid_string_data,
     enumerate_dyck,
@@ -24,6 +23,7 @@ from rootbounds import (
 )
 
 from conftest import all_words
+from rootbounds import string_data
 
 bit_words = st.lists(st.integers(0, 1), max_size=30)
 
@@ -46,10 +46,10 @@ def canonical_runs():
 
 
 def test_word_to_runs_examples():
-    assert word_to_runs("1101000").runs == (2, 1, 1, 3)
-    assert word_to_runs("1111111").runs == (7,)
-    assert word_to_runs("0111").runs == (0, 1, 3)
-    assert word_to_runs("").runs == ()
+    assert word_to_runs("1101000") == (2, 1, 1, 3)
+    assert word_to_runs("1111111") == (7,)
+    assert word_to_runs("0111") == (0, 1, 3)
+    assert word_to_runs("") == ()
 
 
 def test_runs_to_word_examples():
@@ -74,7 +74,7 @@ def test_roundtrip_from_word(word):
 def test_roundtrip_from_runs(runs):
     # (0,) encodes the same empty word as (); both are canonical spellings
     word = runs_to_word(runs)
-    back = word_to_runs(word).runs
+    back = word_to_runs(word)
     if runs == (0,):
         assert back == ()
     else:
@@ -124,6 +124,34 @@ def test_littelmann_roots_fibonacci(cartan3):
         fib.append(fib[-1] + fib[-2])
     for j, beta in enumerate(littelmann_roots(cartan3, 8), start=1):
         assert beta == (fib[2 * j], fib[2 * j - 2])
+
+
+def test_littelmann_roots_refuse_a_runaway_count(monkeypatch):
+    # the j-th root has about j*log2(r) bits in each coordinate, so a
+    # million roots at r = 3 would take hundreds of GiB; at the ceiling
+    # the list stays near its 16 MiB estimate
+    for r, most in ((3, 8192), (2**62, 1459)):
+        cartan = Rank2Cartan(r)
+        tracemalloc.start()
+        try:
+            roots = littelmann_roots(cartan, most)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == most
+        assert peak < 24 * 2**20
+        del roots
+
+    def no_roots(cartan):
+        raise RuntimeError("roots made")
+
+    monkeypatch.setattr(string_data, "_measuring_roots", no_roots)
+    for r, most, count in ((3, 8192, 8193), (3, 8192, 10**6), (2**62, 1459, 1460)):
+        with pytest.raises(ValueError, match=rf"^count must be at most {most} at r = {r}, got {count}$"):
+            littelmann_roots(Rank2Cartan(r), count)
+    for count in (0, 2.0, True):
+        with pytest.raises(ValueError, match=r"^count must be a positive integer, got "):
+            littelmann_roots(Rank2Cartan(3), count)
 
 
 def test_littelmann_valid_examples(cartan3):
@@ -202,8 +230,3 @@ def test_count_matches_kostant(c0, c1, r):
     cartan = Rank2Cartan(r)
     assert count_valid_string_data((c0, c1), cartan) == kostant_count((c0, c1), cartan)
 
-
-def test_string_data_container():
-    d = StringData((2, 1, 1, 3))
-    assert len(d.runs) == 4
-    assert d.runs == (2, 1, 1, 3)
