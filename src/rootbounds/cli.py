@@ -2,8 +2,9 @@
 word diagnostics, and CSV accuracy tables.
 
 All results go to stdout as JSON (or CSV for tables); diagnostics and
-errors go to stderr.  Integers that could overflow a double-precision
-JSON reader are emitted as decimal strings.
+errors go to stderr.  Counts, seeds and chunk sizes go out as decimal
+strings, so no double-precision JSON reader rounds them; r, the root
+coordinates, theorem, k and distance go out as JSON numbers of any size.
 
 Only estimate and stats load numpy.  Their library functions live in
 sampler.py, the one module that imports it, and this module binds
@@ -22,7 +23,7 @@ import sys
 from math import gcd
 from typing import Optional, Sequence
 
-from .core_lattice import Rank2Cartan, Weight, classify, dyck_count
+from .core_lattice import Rank2Cartan, Weight, as_weight, classify, dyck_count
 from .counting import MAX_LISTED_PATHS, bound_report, check_bound_height, enumerate_dyck
 from .limits import DEFAULT_CHUNK, MAX_THREADS
 from .peterson import MultiplicityTable, check_box
@@ -61,13 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_root(text: str) -> Weight:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--root wants 'c0,c1', got {text!r}")
-    c0, c1 = (int(p) for p in parts)
-    if c0 < 0 or c1 < 0:
-        raise ValueError("root coefficients must be nonnegative")
-    return Weight(c0, c1)
+    return as_weight(tuple(int(p) for p in text.split(",")))
 
 
 def _parse_seed(text: str) -> int:
@@ -204,6 +199,8 @@ def _family_root(family: str, n: int) -> Weight:
 
 def cmd_table(args) -> int:
     cartan = Rank2Cartan(args.r)
+    if args.roots is not None and args.family != "custom":
+        raise ValueError("--roots needs --family custom")
     # every check comes before the table is filled and the header is
     # written, so a refused table writes nothing; one fill covers the box
     # of every row, and the ceiling is checked on that box
@@ -265,11 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, root=True):
+    def add_common(p, root=True, fmt=True):
         p.add_argument("--r", type=int, default=3, help="Cartan off-diagonal magnitude, >= 3")
         if root:
             p.add_argument("--root", required=True, help="weight as c0,c1")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("mult", help="exact root multiplicity")
     add_common(p)
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("estimate", help="Monte-Carlo estimate of a bound")
-    add_common(p)
+    add_common(p, fmt=False)
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=_parse_seed, required=True, help="decimal or hex")
@@ -307,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("validate", help="diagnose one binary word")
-    p.add_argument("--r", type=int, default=3)
+    add_common(p, root=False)
     p.add_argument("--word", required=True, help="ASCII string of 0s and 1s")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("table", help="CSV accuracy table over a root family")

@@ -19,6 +19,23 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def as_weight(value) -> Weight:
+    """The pair value as a Weight of two plain ints, both >= 0, or one ValueError.
+
+    Every weight the library takes passes this rule: a float breaks the
+    exact arithmetic, a numpy integer wraps at large r or height, and True
+    would pass for 1.
+    """
+    try:
+        c0, c1 = value
+        ok = is_int(c0) and is_int(c1) and c0 >= 0 and c1 >= 0
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"a weight must be a pair of nonnegative integers, got {value!r}")
+    return Weight(c0, c1)
+
+
 @dataclass(frozen=True)
 class Rank2Cartan:
     """The single parameter r defining the Cartan matrix [[2, -r], [-r, 2]].
@@ -69,8 +86,9 @@ def bilinear_form(u, v, cartan: Rank2Cartan) -> int:
     (u|v) = 2*u0*v0 + 2*u1*v1 - r*(u0*v1 + u1*v0).  Normalized so the
     simple roots have norm 2.
     """
-    u0, u1 = u
-    v0, v1 = v
+    (u0, u1), (v0, v1) = u, v
+    if not all(map(is_int, (u0, u1, v0, v1))):
+        raise ValueError(f"lattice coordinates must be integers, got {u!r} and {v!r}")
     return 2 * u0 * v0 + 2 * u1 * v1 - cartan.r * (u0 * v1 + u1 * v0)
 
 
@@ -79,6 +97,8 @@ def simple_reflection(i: int, v, cartan: Rank2Cartan) -> tuple[int, int]:
     if i not in (0, 1):
         raise ValueError(f"simple root index must be 0 or 1, got {i}")
     c0, c1 = v
+    if not (is_int(c0) and is_int(c1)):
+        raise ValueError(f"lattice coordinates must be integers, got {v!r}")
     if i == 0:
         return (cartan.r * c1 - c0, c1)
     return (c0, cartan.r * c0 - c1)
@@ -93,7 +113,7 @@ def classify(v, cartan: Rank2Cartan) -> RootClass:
     which is nonnegative and less than c0, so height-decreasing simple
     reflections keep q = 1 down to (1, 0) or (0, 1) (Vieta jumping).
     """
-    c0, c1 = v
+    c0, c1 = as_weight(v)
     if (c0, c1) == (0, 0):
         raise ValueError("zero weight has no root class")
     q = c0 * c0 + c1 * c1 - cartan.r * c0 * c1
@@ -108,6 +128,7 @@ def dyck_count(n: int, m: int) -> int:
     Closed form binomial(m+n, n) / (m+n), which is an integer exactly
     because gcd(m, n) = 1.
     """
+    n, m = as_weight((n, m))
     if n < 1 or m < 1:
         raise ValueError("endpoint coordinates must be positive")
     if gcd(m, n) != 1:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator, Optional
 
-from .core_lattice import Rank2Cartan, RootClass, Weight, classify, dyck_count
+from .core_lattice import Rank2Cartan, RootClass, Weight, as_weight, classify, dyck_count
 from .stability_filters import (
     FilterLevel,
     cond1_limits,
@@ -81,7 +81,7 @@ class BoundReport:
 
 
 def _check_endpoint(weight) -> tuple[int, int]:
-    n, m = weight
+    n, m = as_weight(weight)
     if n < 1 or m < 1:
         raise ValueError("enumeration needs both coordinates positive")
     return n, m

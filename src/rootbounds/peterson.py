@@ -33,7 +33,7 @@ from itertools import accumulate, count
 from operator import add, sub
 from typing import Optional
 
-from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, simple_reflection
+from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, as_weight, simple_reflection
 
 # a fill refuses a lower box of more cells than this before it allocates
 # any.  On a 2-vCPU Xeon VM the box up to (1023,1023), 2^20 cells, took
@@ -43,7 +43,8 @@ MAX_CELLS = 1 << 20
 
 
 def check_box(c0max: int, c1max: int) -> None:
-    """Refuse the lower box up to (c0max, c1max) when it holds more than MAX_CELLS cells."""
+    """Refuse a corner that is no weight, or a lower box of more than MAX_CELLS cells."""
+    c0max, c1max = as_weight((c0max, c1max))
     cells = (c0max + 1) * (c1max + 1)
     if cells > MAX_CELLS:
         raise ValueError(
@@ -81,7 +82,7 @@ class MultiplicityTable:
         current box.  A request inside the box does nothing; any other
         builds new grids for the whole box and keeps them only once every
         cell has passed its check, so a fill that raises changes nothing."""
-        c0max, c1max = max(c0max, self._box[0]), max(c1max, self._box[1])
+        c0max, c1max = map(max, as_weight((c0max, c1max)), self._box)
         if (c0max, c1max) == self._box:
             return
         check_box(c0max, c1max)
@@ -112,12 +113,12 @@ class MultiplicityTable:
         self._f, self._m, self._box = F, M, (c0max, c1max)
 
     def entry(self, weight) -> tuple[Fraction, int]:
-        c0, c1 = weight
-        if c0 < 0 or c1 < 0 or (c0, c1) == (0, 0):
-            raise ValueError(f"multiplicity needs a nonzero nonnegative weight, got {(c0, c1)}")
-        if c0 > self._box[0] or c1 > self._box[1]:
-            self.fill_box(c0, c1)
-        return self.entries[Weight(c0, c1)]
+        weight = as_weight(weight)
+        if weight == (0, 0):
+            raise ValueError("multiplicity needs a nonzero weight")
+        if weight.c0 > self._box[0] or weight.c1 > self._box[1]:
+            self.fill_box(*weight)
+        return self.entries[weight]
 
 
 def _settle(m_row: list[int], x: int, y0: int, rest: list[int], r: int) -> None:
@@ -149,11 +150,10 @@ class _Entries(Mapping):
     def __getitem__(self, weight) -> tuple[Fraction, int]:
         c0max, c1max = self._table._box
         try:
-            x, y = weight
-            inside = 0 <= x <= c0max and 0 <= y <= c1max and x + y > 0
-        except (TypeError, ValueError):
-            inside = False
-        if not inside:
+            x, y = as_weight(weight)
+        except ValueError:
+            raise KeyError(weight) from None
+        if x > c0max or y > c1max or x + y == 0:
             raise KeyError(weight)
         return Fraction(-self._table._f[x][y], x + y), self._table._m[x][y]
 
@@ -180,9 +180,7 @@ def kostant_count(weight, cartan: Rank2Cartan) -> int:
     (with root-space "colors"): the coefficient of the weight in
     prod over roots of (1 - e^beta)^(-mult).  Reads no multiplicity.
     """
-    c0, c1 = weight
-    if c0 < 0 or c1 < 0:
-        raise ValueError("Kostant count needs a nonnegative weight")
+    c0, c1 = as_weight(weight)
     check_box(c0, c1)
     return _kostant_grid(c0, c1, cartan)[c0][c1]
 

@@ -60,7 +60,7 @@ from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core_lattice import Rank2Cartan, dyck_count, is_int
+from .core_lattice import Rank2Cartan, as_weight, dyck_count, is_int
 from .limits import DEFAULT_CHUNK, MAX_THREADS
 from .stability_filters import FilterLevel, cond1_limit, cond1_limits, cond2_step
 from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
@@ -90,8 +90,8 @@ class EstimateReport:
     chunk: int
 
     def to_json(self) -> str:
-        # every integer goes out as a decimal string except the small
-        # root coordinates and r, so parsers never face >2^53 numbers
+        # every other integer goes out as a decimal string, so no parser
+        # rounds one; the root coordinates and r are JSON numbers, as given
         payload = {
             "root": [self.weight[0], self.weight[1]],
             "r": self.r,
@@ -359,7 +359,7 @@ def estimate_bound(
     min(threads, number of chunks) threads; threads above MAX_THREADS,
     and more than MAX_CHUNKS chunks, are refused.
     """
-    n, m = weight
+    n, m = as_weight(weight)
     _check_seed(seed)
     if level not in (FilterLevel.COND1, FilterLevel.COND2):
         raise ValueError("estimation targets the cond1 or cond2 filter")
@@ -427,8 +427,8 @@ def visits_statistic(
     over uniform Dyck paths to (k+1, k).  Approaches 4*distance + 4 for
     large k.
     """
-    if k < 1 or distance < 0:
-        raise ValueError("need k >= 1 and distance >= 0")
+    if not (is_int(k) and is_int(distance)) or k < 1 or distance < 0:
+        raise ValueError(f"need integers k >= 1 and distance >= 0, got {k!r} and {distance!r}")
     _check_seed(seed)
     _check_letters(2 * k + 1)
     total = total_sq = 0

@@ -16,7 +16,7 @@ from itertools import combinations, islice, pairwise
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .core_lattice import Rank2Cartan, Weight, is_int
+from .core_lattice import Rank2Cartan, Weight, as_weight, is_int
 
 # littelmann_roots refuses a count whose roots would hold more bits than
 # this, 16 MiB
@@ -141,7 +141,7 @@ def count_valid_string_data(weight, cartan: Rank2Cartan, limit: int = 24) -> int
     Equals the weight-space dimension of the positive half of the algebra.
     Guarded: the word space has binomial(c0+c1, c1) elements.
     """
-    c0, c1 = weight
+    c0, c1 = as_weight(weight)
     total = c0 + c1
     if total > limit:
         raise ValueError(

@@ -490,6 +490,28 @@ def test_bad_int_option_is_one_error_line(capsys):
     assert captured.err == "error: argument --samples: invalid int value: 'abc'\n"
 
 
+def test_estimate_has_no_format_option(capsys):
+    # estimate always prints JSON, so --format csv was taken and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--root", "4,3", "--theorem", "1", "--samples", "10", "--seed", "0",
+              "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --format csv\n"
+
+
+def test_table_refuses_roots_under_a_family(capsys, monkeypatch):
+    def no_fill(*args):
+        raise RuntimeError("fill started")
+
+    monkeypatch.setattr(MultiplicityTable, "fill_box", no_fill)
+    code, out, err = run_cli(
+        capsys, "table", "--family", "staircase", "--max-n", "3", "--roots", "5,4"
+    )
+    assert (code, out, err) == (2, "", "error: --roots needs --family custom\n")
+
+
 def test_root_parse_errors(capsys):
     for bad in ("4", "4,3,2", "a,b"):
         code, _, err = run_cli(capsys, "mult", "--root", bad)

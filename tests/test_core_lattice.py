@@ -9,14 +9,25 @@ from hypothesis import strategies as st
 from rootbounds import (
     ALPHA0,
     ALPHA1,
+    FilterLevel,
+    MultiplicityTable,
     Rank2Cartan,
     RootClass,
     Weight,
     bilinear_form,
+    bound1,
+    bound2,
+    bound_report,
     classify,
+    count_valid_string_data,
     dyck_count,
+    enumerate_dyck,
+    kostant_count,
+    multiplicity,
     simple_reflection,
 )
+from rootbounds.peterson import check_box
+from rootbounds.sampler import estimate_bound, visits_statistic
 
 weights = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 cartans = st.integers(3, 6).map(Rank2Cartan)
@@ -195,3 +206,69 @@ def test_divisibility_of_dyck_formula():
         for m in range(1, 15):
             if gcd(n, m) == 1:
                 assert dyck_count(n, m) >= 1
+
+
+# r = 2^62 is where a numpy weight wraps: classify put (16, 15) as int64
+# into NOT_A_ROOT, and dyck_count overflowed on (51, 50)
+HUGE = Rank2Cartan(2**62)
+WEIGHT_ENTRY_POINTS = {
+    "classify": lambda w: classify(w, HUGE),
+    "dyck_count": lambda w: dyck_count(*w),
+    "check_box": lambda w: check_box(*w),
+    "fill_box": lambda w: MultiplicityTable(HUGE).fill_box(*w),
+    "entry": lambda w: MultiplicityTable(HUGE).entry(w),
+    "multiplicity": lambda w: multiplicity(w, HUGE),
+    "kostant_count": lambda w: kostant_count(w, HUGE),
+    "enumerate_dyck": lambda w: enumerate_dyck(w, HUGE),
+    "bound1": lambda w: bound1(w, HUGE),
+    "bound2": lambda w: bound2(w, HUGE),
+    "bound_report": lambda w: bound_report(w, HUGE),
+    "estimate_bound": lambda w: estimate_bound(w, HUGE, FilterLevel.COND2, samples=10, seed=0),
+    "count_valid_string_data": lambda w: count_valid_string_data(w, HUGE),
+}
+# these take the two coordinates as arguments, so only pairs reach them
+TAKES_COORDINATES = {"dyck_count", "check_box", "fill_box"}
+BAD_WEIGHTS = [(np.int64(16), np.int64(15)), (True, 1), (2.0, 1), (-1, 3), (1, 2, 3), None]
+
+
+def _no_work(*args):
+    raise RuntimeError("work started")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    for target in ("peterson._weyl_shifts", "counting._count", "counting._successors",
+                   "sampler._chunk_rng"):
+        monkeypatch.setattr(f"rootbounds.{target}", _no_work)
+
+
+@pytest.mark.parametrize("name, weight", [
+    (name, weight)
+    for name in WEIGHT_ENTRY_POINTS
+    for weight in BAD_WEIGHTS
+    if name not in TAKES_COORDINATES or (isinstance(weight, tuple) and len(weight) == 2)
+], ids=repr)
+def test_every_entry_point_refuses_a_bad_weight_first(no_work, name, weight):
+    with pytest.raises(ValueError, match=r"^a weight must be a pair of nonnegative integers"):
+        WEIGHT_ENTRY_POINTS[name](weight)
+
+
+@pytest.mark.parametrize("k", [True, 2.5, np.int64(5)], ids=repr)
+def test_visits_statistic_refuses_a_k_or_distance_that_is_not_an_int(no_work, k):
+    with pytest.raises(ValueError, match=r"^need integers k >= 1 and distance >= 0"):
+        visits_statistic(k, 1, samples=10, seed=0)
+    with pytest.raises(ValueError, match=r"^need integers k >= 1 and distance >= 0"):
+        visits_statistic(5, k, samples=10, seed=0)
+
+
+def test_lattice_arithmetic_refuses_numpy_coordinates():
+    # the coordinates stay signed, but int64 would wrap at r = 2^62
+    v = (np.int64(16), np.int64(-15))
+    with pytest.raises(ValueError, match=r"^lattice coordinates must be integers"):
+        bilinear_form(v, (16, 15), HUGE)
+    with pytest.raises(ValueError, match=r"^lattice coordinates must be integers"):
+        bilinear_form((16, 15), v, HUGE)
+    for i in (0, 1):
+        with pytest.raises(ValueError, match=r"^lattice coordinates must be integers"):
+            simple_reflection(i, v, HUGE)
+

@@ -441,6 +441,9 @@ def test_entries_view_contract(cartan3):
     for outside in ((0, 0), (8, 0), (0, 5), (8, 5), (-1, 2), (3, -1)):
         with pytest.raises(KeyError):
             view[outside]
+    # a key that is not a pair of plain ints is missing, as in a dict
+    assert view.get((1.5, 2)) is None
+    assert (True, 1) not in view
     with pytest.raises(TypeError):
         view[Weight(1, 1)] = (Fraction(1, 2), 1)
     assert view[Weight(1, 1)] == (1, 1)
