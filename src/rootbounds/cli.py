@@ -149,6 +149,9 @@ def cmd_bound(args) -> int:
             _theorem_level(args.theorem),
             visit=lambda runs: words.append(runs_to_word(runs)),
         )
+        # the listing and the DP are independent routes to the same count
+        if len(words) != bound:
+            raise ArithmeticError(f"listed {len(words)} paths, the DP counts {bound}")
         payload["paths"] = sorted(words)
     _emit(payload, args.format)
     return 0

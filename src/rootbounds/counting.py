@@ -8,9 +8,12 @@ of f(x) = O_{x-1} + O_x - r*E_{x-1}.  So a prefix matters only through
 (O, E, last run, running min f), where O and E are the up and right
 steps placed so far.
 
-Two independent routes walk these states.  enumerate_dyck lists each
-path depth first with _successors, which tests every run with
-cond1_pair and cond2_step.  _count, behind bound1, bound2 and
+Two independent routes walk these states.  enumerate_dyck walks them
+depth first with _successors, which tests every run with cond1_pair and
+cond2_step, and memoizes on the exact state, with no clamp: it keeps
+each state's number of completions and, for a listing, each live
+state's successors, from which it builds the paths out of shared
+suffixes.  _count, behind bound1, bound2 and
 bound_report, is a dynamic program over half-steps that tests no run:
 it reads the longest run each filter allows from cond1_limit and
 cond2_max_up.  An up half-step appends an up run, a right half-step a
@@ -55,11 +58,21 @@ State = tuple[int, int, int, int]
 # through; (161,95) took 8.7 s, and (1001,1000) would take about half a day.
 MAX_BOUND_HEIGHT = 256
 
-# bound --list refuses to list more paths than this, after counting them
-# and before the enumeration starts.  Listing takes about 7 us a path on
-# the same VM (45,751 paths at (12,13), theorem 1, in 0.30 s), so the
-# longest listing let through takes about 0.5 s.
+# enumerate_dyck, and so bound --list, refuses to list more paths than
+# this, while counting them and before the first visit.  On the same VM
+# the walk lists the 45,751 paths at (12,13), theorem 1, in 18 ms (0.4 us
+# a path), and 0.25 s with runs_to_word making each a word as bound
+# --list does (5.4 us a path), so the longest listing let through takes
+# about 0.35 s.
 MAX_LISTED_PATHS = 2**16
+
+# enumerate_dyck refuses a walk that would keep more search states than
+# this, each about 130 B of memo.  On the same VM, at r = 3 under cond2,
+# (41,40) keeps 83,575 states in 2.7-4.3 s, and the walks at (46,45)
+# and (51,50) are refused at the ceiling after 7.2-7.8 and 10.6-11.0 s,
+# with tracemalloc peaks of 15.8 and 16.3 MiB.  Fewer filters keep fewer
+# states: (26,25) keeps 12,790 under cond2, 2,379 under cond1, 301 under none.
+MAX_WALK_STATES = 2**17
 
 
 def check_bound_height(n: int, m: int) -> None:
@@ -224,35 +237,94 @@ def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
     return total
 
 
+class _Walk:
+    """A depth-first walk over the exact search states, memoized on the state.
+
+    The memo lives on this object, not in closures of recursive nested
+    functions, so it goes when the walk does and waits for no cyclic
+    garbage collection.
+    """
+
+    def __init__(self, n: int, m: int, cartan: Rank2Cartan, level: FilterLevel, listing: bool):
+        self.n, self.m, self.cartan, self.level = n, m, cartan, level
+        self.listing = listing
+        self.counts: dict[State, int] = {}
+        # live[state], kept only for a listing: the (u, v, next state)
+        # that lead to at least one completion
+        self.live: dict[State, list[tuple[int, int, Optional[State]]]] = {}
+        self.suffixes: dict[State, list[tuple[int, ...]]] = {}
+
+    def count(self, state: State) -> int:
+        """Number of completions of the state, each state's successors tested once."""
+        got = self.counts.get(state)
+        if got is not None:
+            return got
+        n, m = self.n, self.m
+        ways = 0
+        nexts = []
+        for u, v, succ in _successors(state, n, m, self.cartan, self.level):
+            w = 1 if succ is None else self.count(succ)
+            if w:
+                ways += w
+                nexts.append((u, v, succ))
+        if len(self.counts) >= MAX_WALK_STATES:
+            raise ValueError(
+                f"enumeration stops at {MAX_WALK_STATES} search states; {(n, m)} needs more"
+            )
+        self.counts[state] = ways
+        if self.listing and ways:
+            # every state walked is reached from the start, so the whole
+            # listing holds at least as many paths as this state's
+            if ways > MAX_LISTED_PATHS:
+                raise ValueError(f"listing stops at {MAX_LISTED_PATHS} paths; {(n, m)} has more")
+            self.live[state] = nexts
+        return ways
+
+    def paths(self, state: State) -> list[tuple[int, ...]]:
+        """The run tuples that complete a live state, in depth-first order."""
+        got = self.suffixes.get(state)
+        if got is None:
+            got = []
+            for u, v, succ in self.live[state]:
+                if succ is None:
+                    got.append((u, v))
+                else:
+                    got.extend([(u, v) + rest for rest in self.paths(succ)])
+            self.suffixes[state] = got
+        return got
+
+
 def enumerate_dyck(
     weight,
     cartan: Rank2Cartan,
     level: FilterLevel = FilterLevel.DYCK,
     visit: Optional[Visitor] = None,
 ) -> int:
-    """Visit every run sequence of the given weight passing the filter once.
+    """Count the run sequences of the given weight passing the filter.
 
-    Returns the visit count.  The visitor, when given, receives each
-    complete run tuple.
+    Returns the count.  The walk memoizes on the exact search state
+    (O, E, last run, running min): each state's successors are tested
+    once and its number of completions is kept, so the time grows
+    polynomially in the height, not with the number of paths.  A root
+    above MAX_BOUND_HEIGHT, or one whose walk would keep more than
+    MAX_WALK_STATES states, is refused with one ValueError.
+
+    The visitor, when given, receives each complete run tuple once, in
+    depth-first order: runs ascending, the up run before the right run.
+    The count walk then also keeps each live state's successors, and
+    refuses a listing of more than MAX_LISTED_PATHS paths before the
+    first visit.  Each live state's list of suffixes is built once from
+    its successors and shared by every prefix that reaches the state.
     """
     n, m = _check_endpoint(weight)
-    runs: list[int] = []
-
-    def walk(state: State) -> int:
-        count = 0
-        for u, v, succ in _successors(state, n, m, cartan, level):
-            runs.append(u)
-            runs.append(v)
-            if succ is None:
-                count += 1
-                if visit is not None:
-                    visit(tuple(runs))
-            else:
-                count += walk(succ)
-            del runs[-2:]
-        return count
-
-    return walk(_start(m))
+    check_bound_height(n, m)  # bounds the recursion depth as well
+    walk = _Walk(n, m, cartan, level, listing=visit is not None)
+    start = _start(m)
+    total = walk.count(start)
+    if visit is not None and total:
+        for runs in walk.paths(start):
+            visit(runs)
+    return total
 
 
 def _require_bound_weight(weight, cartan: Rank2Cartan) -> tuple[int, int]:

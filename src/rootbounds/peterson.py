@@ -172,6 +172,8 @@ def multiplicity(weight, cartan: Rank2Cartan, table: Optional[MultiplicityTable]
     """dim of the root space at the weight; 0 when the weight is not a root."""
     if table is None:
         table = MultiplicityTable(cartan)
+    elif table.r != cartan.r:
+        raise ValueError(f"the table holds r = {table.r}, not r = {cartan.r}")
     return table.entry(weight)[1]
 
 

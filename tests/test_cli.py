@@ -120,6 +120,22 @@ def test_listing_ceiling_admits_its_own_count(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: --list stops at 3 paths; (4, 3) has 4\n")
 
 
+def test_listing_is_checked_against_the_dp(capsys, monkeypatch):
+    # a listing that drops a path disagrees with the DP's bound
+    listing = rootbounds.cli.enumerate_dyck
+
+    def drop_first(weight, cartan, level, visit):
+        seen = []
+        count = listing(weight, cartan, level, visit=seen.append)
+        for runs in seen[1:]:
+            visit(runs)
+        return count
+
+    monkeypatch.setattr(rootbounds.cli, "enumerate_dyck", drop_first)
+    code, out, err = run_cli(capsys, "bound", "--root", "4,3", "--theorem", "1", "--list")
+    assert (code, out, err) == (2, "", "error: listed 3 paths, the DP counts 4\n")
+
+
 def test_estimate_fixed_seed(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -101,7 +101,7 @@ def test_enumerate_cond2_listing(cartan3):
 def test_dp_count_matches_enumeration():
     for r in (3, 4, 5):
         cartan = Rank2Cartan(r)
-        for total in range(2, 19):
+        for total in range(2, 31):
             for n in range(1, total):
                 m = total - n
                 if gcd(n, m) != 1:
@@ -110,6 +110,12 @@ def test_dp_count_matches_enumeration():
                     assert counting._count(n, m, cartan, level) == enumerate_dyck(
                         (n, m), cartan, level
                     ), (r, n, m, level)
+    cartan3 = Rank2Cartan(3)
+    for n, m in [(26, 25), (25, 26)]:
+        for level in FilterLevel:
+            assert counting._count(n, m, cartan3, level) == enumerate_dyck(
+                (n, m), cartan3, level
+            ), (n, m, level)
 
 
 @pytest.mark.parametrize("r", [6, 2**62])
@@ -156,15 +162,6 @@ def test_exact_bounds_at_height_101(cartan3, weight):
     assert rep.dyck_total == dyck_count(*weight)
 
 
-def test_survivor_above_multiplicity_by_dp(table3, cartan3):
-    # test_unique_survivor_above_multiplicity without the enumeration: the
-    # extra path passes the tighter filter, and the DP counts one path above mult
-    survivor = (10, 3, 5, 13)
-    assert weight_of(survivor) == (16, 15)
-    assert passes_filters(survivor, cartan3, FilterLevel.COND2)
-    assert bound2((16, 15), cartan3) == table3.entry(Weight(16, 15))[1] + 1
-
-
 def test_report_counts_nest(cartan3):
     for n, m in [(5, 4), (7, 5), (8, 7), (9, 7)]:
         rep = bound_report((n, m), cartan3)
@@ -190,15 +187,103 @@ def test_bounds_dominate_multiplicity(table3, cartan3):
 
 
 def test_unique_survivor_above_multiplicity(table3, cartan3):
-    # at (16,15) the tighter bound overshoots by exactly one path,
-    # and that path is 1^10 0^3 1^5 0^13
-    seen = {"target": False}
-
-    def visit(runs):
-        if runs == (10, 3, 5, 13):
-            seen["target"] = True
-
-    total = enumerate_dyck((16, 15), cartan3, FilterLevel.COND2, visit=visit)
+    # at (16,15) the tighter bound overshoots by exactly one path, and
+    # 1^10 0^3 1^5 0^13 is a path of that weight passing it; the count
+    # and the DP check the overshoot by two routes, as visiting all
+    # 815,215 paths would pass MAX_LISTED_PATHS
+    survivor = (10, 3, 5, 13)
+    assert weight_of(survivor) == (16, 15)
+    assert passes_filters(survivor, cartan3, FilterLevel.COND2)
     mult = table3.entry(Weight(16, 15))[1]
-    assert total == mult + 1
-    assert seen["target"]
+    assert enumerate_dyck((16, 15), cartan3, FilterLevel.COND2) == mult + 1
+    assert bound2((16, 15), cartan3) == mult + 1
+
+
+def _reference_runs(weight, cartan, level):
+    """Every passing run tuple, depth first over _successors with no memo."""
+    n, m = weight
+    found = []
+
+    def walk(state, prefix):
+        for u, v, succ in counting._successors(state, n, m, cartan, level):
+            if succ is None:
+                found.append(prefix + (u, v))
+            else:
+                walk(succ, prefix + (u, v))
+
+    walk(counting._start(m), ())
+    return found
+
+
+def _reference_states(weight, cartan, level):
+    """The distinct search states the depth-first walk enters."""
+    n, m = weight
+    seen = set()
+
+    def walk(state):
+        if state not in seen:
+            seen.add(state)
+            for _, _, succ in counting._successors(state, n, m, cartan, level):
+                if succ is not None:
+                    walk(succ)
+
+    walk(counting._start(m))
+    return seen
+
+
+def test_visitor_matches_plain_depth_first_walk():
+    for r in (3, 4):
+        cartan = Rank2Cartan(r)
+        for total in range(2, 17):
+            for n in range(1, total):
+                m = total - n
+                if gcd(n, m) != 1:
+                    continue
+                for level in FilterLevel:
+                    visited = []
+                    count = enumerate_dyck((n, m), cartan, level, visit=visited.append)
+                    expected = _reference_runs((n, m), cartan, level)
+                    assert visited == expected, (r, n, m, level)
+                    assert count == len(expected), (r, n, m, level)
+
+
+def _no_visit(runs):
+    raise AssertionError("visited a path")
+
+
+def _no_walk(*args):
+    raise AssertionError("walk started")
+
+
+def test_listing_ceiling_refuses_before_the_first_visit(cartan3, monkeypatch):
+    # (11,8) has 720 paths under cond2
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 720)
+    visited = []
+    assert enumerate_dyck((11, 8), cartan3, FilterLevel.COND2, visit=visited.append) == 720
+    assert len(visited) == 720
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 719)
+    with pytest.raises(ValueError, match=r"^listing stops at 719 paths; \(11, 8\) has more$"):
+        enumerate_dyck((11, 8), cartan3, FilterLevel.COND2, visit=_no_visit)
+    # the count alone is not a listing
+    assert enumerate_dyck((11, 8), cartan3, FilterLevel.COND2) == 720
+
+
+@pytest.mark.parametrize("level", list(FilterLevel), ids=str)
+def test_state_ceiling_admits_its_own_count(cartan3, monkeypatch, level):
+    states = len(_reference_states((11, 8), cartan3, level))
+    expected = counting._count(11, 8, cartan3, level)
+    monkeypatch.setattr(counting, "MAX_WALK_STATES", states)
+    assert enumerate_dyck((11, 8), cartan3, level) == expected
+    monkeypatch.setattr(counting, "MAX_WALK_STATES", states - 1)
+    message = rf"^enumeration stops at {states - 1} search states; \(11, 8\) needs more$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_dyck((11, 8), cartan3, level)
+    with pytest.raises(ValueError, match=message):
+        enumerate_dyck((11, 8), cartan3, level, visit=_no_visit)
+
+
+def test_enumeration_refuses_a_root_above_the_bound_height(cartan3, monkeypatch):
+    # refused before the walk, which recurses once per run pair
+    monkeypatch.setattr(counting, "_successors", _no_walk)
+    with pytest.raises(ValueError, match="^exact bounds stop at height"):
+        enumerate_dyck((1001, 1000), cartan3, FilterLevel.DYCK)

@@ -154,6 +154,13 @@ def test_vanishing_denominator_weights(cartan3, table3):
     assert multiplicity((4, 12), cartan3, table3) == 0
 
 
+def test_multiplicity_refuses_a_table_of_another_r(cartan3, table4):
+    # the r = 4 table holds 6 at (7, 3), where r = 3 gives 2
+    with pytest.raises(ValueError, match="^the table holds r = 4, not r = 3$"):
+        multiplicity((7, 3), cartan3, table4)
+    assert multiplicity((7, 3), cartan3) == 2
+
+
 def test_multiplicity_examples(table3):
     assert table3.entry(Weight(16, 15))[1] == 815214
     assert table3.entry(Weight(15, 11))[1] == 23750
