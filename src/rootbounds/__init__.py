@@ -2,9 +2,9 @@
 algebras, with combinatorial upper bounds from filtered rational Dyck
 paths (exact counts and Monte-Carlo estimates).
 
-Only the Monte-Carlo names load numpy: EstimateReport, VisitsReport,
-estimate_bound and visits_statistic come from the sampler module, the one
-module that imports it, and are resolved on first use.
+Importing the package loads no numpy: estimate_bound and
+visits_statistic import the numpy sampler only when they run, once their
+inputs have passed.
 """
 
 from .core_lattice import (
@@ -19,6 +19,7 @@ from .core_lattice import (
     simple_reflection,
 )
 from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
+from .montecarlo import EstimateReport, VisitsReport, estimate_bound, visits_statistic
 from .peterson import MultiplicityTable, kostant_count, multiplicity
 from .stability_filters import FilterLevel, cond1, cond1_pair, cond2, passes_filters
 from .string_data import (
@@ -66,14 +67,3 @@ __all__ = [
     "weight_of",
     "word_to_runs",
 ]
-
-_SAMPLER_NAMES = ("EstimateReport", "VisitsReport", "estimate_bound", "visits_statistic")
-
-
-def __getattr__(name: str):
-    if name in _SAMPLER_NAMES:
-        from . import sampler
-
-        value = globals()[name] = getattr(sampler, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,11 +6,10 @@ errors go to stderr.  Counts, seeds and chunk sizes go out as decimal
 strings, so no double-precision JSON reader rounds them; r, the root
 coordinates, theorem, k and distance go out as JSON numbers of any size.
 
-Only estimate and stats load numpy.  Their library functions live in
-sampler.py, the one module that imports it, and this module binds
-estimate_bound and visits_statistic on first use (module __getattr__).
-The two commands call them as attributes of this module, so a wrapper
-set on rootbounds.cli is the one that runs.
+Only estimate and stats load numpy: estimate_bound and visits_statistic
+come from montecarlo.py, which imports the numpy sampler only when one of
+them runs.  The two commands call them as attributes of this module, so a
+wrapper set on rootbounds.cli is the one that runs.
 """
 
 from __future__ import annotations
@@ -25,33 +24,12 @@ from typing import Optional, Sequence
 
 from .core_lattice import Rank2Cartan, Weight, as_weight, classify, dyck_count
 from .counting import MAX_LISTED_PATHS, bound_report, check_bound_height, enumerate_dyck
-from .limits import DEFAULT_CHUNK, MAX_THREADS
+from .montecarlo import DEFAULT_CHUNK, MAX_THREADS, estimate_bound, visits_statistic
 from .peterson import MultiplicityTable, check_box
 from .stability_filters import FilterLevel, cond1, cond2
-from .string_data import (
-    is_dyck,
-    littelmann_valid,
-    runs_to_word,
-    weight_of,
-    word_to_runs,
-)
+from .string_data import is_dyck, littelmann_valid, runs_to_word, weight_of, word_to_runs
 
 THREADS_ENV = "ROOTBOUNDS_THREADS"
-_SAMPLER_NAMES = ("estimate_bound", "visits_statistic")
-
-
-def __getattr__(name: str):
-    if name in _SAMPLER_NAMES:
-        from . import sampler
-
-        value = globals()[name] = getattr(sampler, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _sampler_fn(name: str):
-    """The function bound at rootbounds.cli.<name>, loading the sampler on first use."""
-    return getattr(sys.modules[__name__], name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +138,7 @@ def cmd_bound(args) -> int:
 def cmd_estimate(args) -> int:
     root = _parse_root(args.root)
     cartan = Rank2Cartan(args.r)
-    report = _sampler_fn("estimate_bound")(
+    report = estimate_bound(
         root,
         cartan,
         _theorem_level(args.theorem),
@@ -246,7 +224,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = _sampler_fn("visits_statistic")(
+    report = visits_statistic(
         args.k, args.distance, samples=args.samples, seed=args.seed, chunk=args.chunk
     )
     print(report.to_json())

@@ -64,9 +64,9 @@ class MultiplicityTable:
     """
 
     cartan: Rank2Cartan
-    _box: tuple[int, int] = (0, 0)
-    _f: list[list[int]] = field(default_factory=lambda: [[0]], repr=False)
-    _m: list[list[int]] = field(default_factory=lambda: [[0]], repr=False)
+    _box: tuple[int, int] = field(default=(0, 0), init=False)
+    _f: list[list[int]] = field(default_factory=lambda: [[0]], init=False, repr=False)
+    _m: list[list[int]] = field(default_factory=lambda: [[0]], init=False, repr=False)
 
     @property
     def r(self) -> int:

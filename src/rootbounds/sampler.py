@@ -1,4 +1,4 @@
-"""Uniform random rational Dyck paths and Monte-Carlo bound estimation.
+"""Uniform random rational Dyck paths: the numpy pipeline behind montecarlo.py.
 
 Sampling is exact-uniform: draw a uniformly shuffled word, then rotate it
 to the unique cyclic representative that stays above the diagonal (the
@@ -42,104 +42,23 @@ there is (k + 1/2)*D + i/2 for the +-1 walk D of the word, so the cut is
 the first minimum of D and the rotated walk is read off D on either side
 of it.
 
-This is the one module of the package that imports numpy.  The package
-and the CLI load it on first use of a sampler name, so the exact commands
-never load numpy.
+This is the one module of the package that imports numpy or
+concurrent.futures.  Only montecarlo's entry points import it, once their
+inputs have passed, so nothing here checks them again.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core_lattice import Rank2Cartan, as_weight, dyck_count, is_int
-from .limits import DEFAULT_CHUNK, MAX_THREADS
+from .core_lattice import Rank2Cartan
+from .montecarlo import SUB_BATCH_BYTES
 from .stability_filters import FilterLevel, cond1_limit, cond1_limits, cond2_step
 from .stability_filters import cond2  # noqa: F401  bench/tracing.py patches sampler.cond2
-
-# the chunk plan refuses more chunks than this, so a tiny --chunk cannot
-# make estimate build, or stats loop over, a near-endless job list
-MAX_CHUNKS = 1 << 20
-# a chunk is drawn and run through its pipeline in int64 sub-batches of at
-# most this many bytes, so its memory does not grow with the chunk size
-SUB_BATCH_BYTES = 1 << 20
-# estimate and stats refuse longer words, one row of which would outgrow a
-# sub-batch; it also keeps the flat cond2 pass inside int64
-MAX_LETTERS = SUB_BATCH_BYTES // 8
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    weight: tuple[int, int]
-    r: int
-    filter: FilterLevel
-    samples: int
-    hits: int
-    dyck_total: int
-    estimate: str
-    std_error: str
-    seed: int
-    chunk: int
-
-    def to_json(self) -> str:
-        # every other integer goes out as a decimal string, so no parser
-        # rounds one; the root coordinates and r are JSON numbers, as given
-        payload = {
-            "root": [self.weight[0], self.weight[1]],
-            "r": self.r,
-            "filter": self.filter.value,
-            "samples": str(self.samples),
-            "hits": str(self.hits),
-            "dyck_total": str(self.dyck_total),
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "seed": str(self.seed),
-            "chunk": str(self.chunk),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class VisitsReport:
-    k: int
-    distance: int
-    samples: int
-    seed: int
-    mean: str
-    std_error: str
-
-    def to_json(self) -> str:
-        payload = {
-            "k": self.k,
-            "distance": self.distance,
-            "samples": str(self.samples),
-            "seed": str(self.seed),
-            "mean": self.mean,
-            "std_error": self.std_error,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _sig6(x: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 6
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
-
-
-def _sqrt_sig6(x: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 28
-        root = (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
-        ctx.prec = 6
-        return str(+root)
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -164,38 +83,6 @@ def _sub_batches(n: int, m: int, seed: int, index: int, size: int) -> Iterator[n
         W = np.tile(base, (min(rows, size - start), 1))
         rng.permuted(W, axis=1, out=W)
         yield W
-
-
-def _check_letters(letters: int) -> None:
-    if letters > MAX_LETTERS:
-        raise ValueError(f"words of {letters} letters are more than {MAX_LETTERS}")
-
-
-def _check_seed(seed) -> None:
-    # numpy's SeedSequence would refuse it only when the first chunk is
-    # drawn; bool is an Integral, and True would pass for 1
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-def _chunk_sizes(samples: int, chunk: int) -> list[int]:
-    """The sizes of the chunks that draw `samples` rows, chunk index = position."""
-    for name, value in (("samples", samples), ("chunk", chunk)):
-        if not is_int(value):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if chunk < 1:
-        raise ValueError("chunk size must be positive")
-    count = -(-samples // chunk)
-    if count > MAX_CHUNKS:
-        raise ValueError(
-            f"{samples} samples in chunks of {chunk} make {count} chunks, more than {MAX_CHUNKS}"
-        )
-    sizes = [chunk] * (samples // chunk)
-    if samples % chunk:
-        sizes.append(samples % chunk)
-    return sizes
 
 
 def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -342,54 +229,14 @@ def _estimate_chunk(args) -> int:
     return hits
 
 
-def estimate_bound(
-    weight,
-    cartan: Rank2Cartan,
-    level: FilterLevel,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> EstimateReport:
-    """Monte-Carlo estimate of a filtered path count.
-
-    estimate = (hits / samples) * dyck_total, with the binomial standard
-    error sqrt(p(1-p)/samples) * dyck_total; both reported to 6
-    significant digits as decimal strings.  Chunks run on at most
-    min(threads, number of chunks) threads; threads above MAX_THREADS,
-    and more than MAX_CHUNKS chunks, are refused.
-    """
-    n, m = as_weight(weight)
-    _check_seed(seed)
-    if level not in (FilterLevel.COND1, FilterLevel.COND2):
-        raise ValueError("estimation targets the cond1 or cond2 filter")
-    sizes = _chunk_sizes(samples, chunk)
-    if not is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
-    if threads > MAX_THREADS:
-        raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
-    _check_letters(n + m)
-    total = dyck_count(n, m)  # also validates coprimality
-    jobs = [(n, m, cartan.r, level, seed, i, s) for i, s in enumerate(sizes)]
+def count_hits(n: int, m: int, r: int, level: FilterLevel, seed: int, sizes, threads: int) -> int:
+    """The words to (n, m) in the seeded chunks of these sizes that pass level, on <= threads threads."""
+    jobs = [(n, m, r, level, seed, i, s) for i, s in enumerate(sizes)]
     workers = min(threads, len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_estimate_chunk, jobs))
-    else:
-        hits = sum(map(_estimate_chunk, jobs))
-    p = Fraction(hits, samples)
-    return EstimateReport(
-        weight=(n, m),
-        r=cartan.r,
-        filter=level,
-        samples=samples,
-        hits=hits,
-        dyck_total=total,
-        estimate=_sig6(p * total),
-        std_error=_sqrt_sig6(p * (1 - p) / samples * total * total),
-        seed=seed,
-        chunk=chunk,
-    )
+            return sum(pool.map(_estimate_chunk, jobs))
+    return sum(map(_estimate_chunk, jobs))
 
 
 def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
@@ -416,34 +263,12 @@ def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
     return counts
 
 
-def visits_statistic(
-    k: int,
-    distance: int,
-    samples: int,
-    seed: int,
-    chunk: int = DEFAULT_CHUNK,
-) -> VisitsReport:
-    """Mean number of path points on the shifted diagonal y - x = distance,
-    over uniform Dyck paths to (k+1, k).  Approaches 4*distance + 4 for
-    large k.
-    """
-    if not (is_int(k) and is_int(distance)) or k < 1 or distance < 0:
-        raise ValueError(f"need integers k >= 1 and distance >= 0, got {k!r} and {distance!r}")
-    _check_seed(seed)
-    _check_letters(2 * k + 1)
+def visit_sums(k: int, distance: int, seed: int, sizes) -> tuple[int, int]:
+    """The sum and the sum of squares of the visit counts over the seeded chunks of these sizes."""
     total = total_sq = 0
-    for index, size in enumerate(_chunk_sizes(samples, chunk)):
+    for index, size in enumerate(sizes):
         for W in _sub_batches(k + 1, k, seed, index, size):
             counts = _visit_counts(W, distance)
             total += int(counts.sum())
             total_sq += int((counts**2).sum())
-    mean = Fraction(total, samples)
-    variance = Fraction(total_sq, samples) - mean * mean
-    return VisitsReport(
-        k=k,
-        distance=distance,
-        samples=samples,
-        seed=seed,
-        mean=_sig6(mean),
-        std_error=_sqrt_sig6(variance / samples),
-    )
+    return total, total_sq

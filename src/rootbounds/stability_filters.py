@@ -13,7 +13,7 @@ from math import isqrt
 from typing import Sequence
 
 from .core_lattice import Rank2Cartan
-from .string_data import is_dyck, weight_of
+from .string_data import check_runs, is_dyck, weight_of
 
 
 class FilterLevel(enum.Enum):
@@ -47,6 +47,7 @@ def cond1_limits(size: int, r: int) -> list[int]:
 
 
 def cond1(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
+    check_runs(runs)
     return all(cond1_pair(runs[k], runs[k + 1], cartan) for k in range(len(runs) - 1))
 
 
@@ -91,6 +92,7 @@ def cond2(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
     smallest f(x) with x <= y matters; one pass keeps that running min
     and checks each y with cond2_step.
     """
+    check_runs(runs)
     if len(runs) % 2 != 0:
         raise ValueError("condition defined for complete paths (even run count)")
     n, m = weight_of(runs)

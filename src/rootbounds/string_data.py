@@ -6,7 +6,8 @@ then a2 letters 0, alternating.  Odd-indexed runs are always the letter 1
 "right"); a1 = 0 encodes words that start with 0.  A run sequence is
 canonical when every run after the first is >= 1.  word_to_runs returns
 it as a plain tuple of ints, and every function here and in
-stability_filters takes it as any sequence of ints.
+stability_filters takes it as any sequence of ints; littelmann_valid,
+runs_to_word, cond1 and cond2 refuse any other run through check_runs.
 """
 
 from __future__ import annotations
@@ -53,8 +54,16 @@ def word_to_runs(word: Iterable) -> tuple[int, ...]:
     return tuple(runs)
 
 
+def check_runs(runs: Sequence[int]) -> None:
+    """Refuse, with one ValueError, a run of any type but int: a numpy integer
+    wraps at large r, a float breaks the exact arithmetic, and True passes for 1."""
+    if not {*map(type, runs)} <= {int}:
+        raise ValueError(f"runs must be plain integers, got {runs!r}")
+
+
 def runs_to_word(runs: Sequence[int]) -> str:
-    if any(a < 1 for a in runs[1:]) or (runs and runs[0] < 0):
+    check_runs(runs)
+    if min(runs[1:], default=1) < 1 or (runs and runs[0] < 0):
         raise ValueError(f"non-canonical run sequence {runs}")
     out = []
     letter = "1"
@@ -128,6 +137,7 @@ def littelmann_valid(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
     about 1.39 bits a step at r = 3, so they are made two at a time and
     the walk stops at the first failing pair.
     """
+    check_runs(runs)
     pairs = pairwise(_measuring_roots(cartan))
     for a_cur, a_next, (bj, bj1) in zip(runs[1:], runs[2:], pairs):
         if a_next * bj.c0 > a_cur * bj1.c0 or a_next * bj.c1 > a_cur * bj1.c1:

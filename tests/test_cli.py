@@ -13,7 +13,7 @@ from rootbounds import Rank2Cartan, kostant_count, multiplicity, peterson
 from rootbounds.cli import THREADS_ENV, build_parser, main
 from rootbounds.counting import MAX_BOUND_HEIGHT, MAX_LISTED_PATHS, bound1, bound2, bound_report
 from rootbounds.peterson import MAX_CELLS, MultiplicityTable
-from rootbounds.sampler import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
+from rootbounds.montecarlo import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
 
 DATA = Path(__file__).parent / "data"
 PACKAGE = Path(rootbounds.cli.__file__).parent
@@ -373,7 +373,7 @@ def test_long_words_are_refused_before_sampling(capsys, monkeypatch):
         raise RuntimeError("work started")
 
     monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_work)
-    monkeypatch.setattr("rootbounds.sampler.dyck_count", no_work)
+    monkeypatch.setattr("rootbounds.montecarlo.dyck_count", no_work)
     half = MAX_LETTERS // 2
     for letters, argv in (
         (MAX_LETTERS + 1, ("estimate", "--root", f"{half + 1},{half}", "--theorem", "1")),
@@ -397,7 +397,7 @@ def test_negative_seed_is_refused(capsys, monkeypatch, argv):
         raise RuntimeError("work started")
 
     monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_work)
-    monkeypatch.setattr("rootbounds.sampler.dyck_count", no_work)
+    monkeypatch.setattr("rootbounds.montecarlo.dyck_count", no_work)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     captured = capsys.readouterr()
@@ -642,6 +642,7 @@ _NUMPY_PROBE = """
 import sys
 from rootbounds.cli import main
 code = main(sys.argv[1:])
+print("futures", "concurrent.futures" in sys.modules)
 print(code, "numpy" in sys.modules)
 """
 
@@ -658,6 +659,40 @@ def test_only_sampling_commands_load_numpy(argv, loads_numpy):
     proc = _run_module("-c", _NUMPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    # the sampler's thread pool comes with numpy: importing concurrent.futures
+    # would slow the start of every exact command
+    assert proc.stdout.splitlines()[-2] == f"futures {loads_numpy}"
+
+
+_LIBRARY_PROBE = """
+import sys
+import rootbounds
+from rootbounds import FilterLevel, Rank2Cartan
+print("numpy" in sys.modules)
+cartan = Rank2Cartan(3)
+refused = 0
+for call in (
+    lambda: rootbounds.estimate_bound((4, 2), cartan, FilterLevel.COND1, samples=10, seed=0),
+    lambda: rootbounds.estimate_bound((4, 3), cartan, FilterLevel.COND1, samples=10, seed=0,
+                                      threads=10**6),
+    lambda: rootbounds.visits_statistic(5, 1, samples=10, seed=-1),
+    lambda: rootbounds.visits_statistic(10**6, 1, samples=10, seed=0),
+):
+    try:
+        call()
+    except ValueError:
+        refused += 1
+print(refused, "numpy" in sys.modules)
+rootbounds.visits_statistic(5, 1, samples=10, seed=0)
+print("numpy" in sys.modules)
+"""
+
+
+def test_library_loads_numpy_only_for_a_sampling_call_that_runs():
+    # the weight (4, 2) is refused by dyck_count, the last check before the sampler
+    proc = _run_module("-c", _LIBRARY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "4 False", "True"]
 
 
 def _imports_numpy(path: Path) -> bool:

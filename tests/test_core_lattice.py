@@ -27,7 +27,7 @@ from rootbounds import (
     simple_reflection,
 )
 from rootbounds.peterson import check_box
-from rootbounds.sampler import estimate_bound, visits_statistic
+from rootbounds.montecarlo import estimate_bound, visits_statistic
 
 weights = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 cartans = st.integers(3, 6).map(Rank2Cartan)

@@ -456,6 +456,15 @@ def test_entries_view_contract(cartan3):
     assert view[Weight(1, 1)] == (1, 1)
 
 
+@pytest.mark.parametrize("field", ["_box", "_f", "_m"])
+def test_constructor_refuses_the_grid_state(cartan3, field):
+    # a box given here without its grids made entry((3, 3)) die of an IndexError
+    value = {"_box": (5, 5), "_f": [[0]], "_m": [[0]]}[field]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+        MultiplicityTable(cartan3, **{field: value})
+    assert MultiplicityTable(cartan3).entry((3, 3)) == (Fraction(10, 3), 3)
+
+
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_entries_view_equals_peterson_dict_through_growth(r):
     L, C, M = _peterson(r)

@@ -17,12 +17,10 @@ from rootbounds import (
     visits_statistic,
     word_to_runs,
 )
-from rootbounds import sampler
+from rootbounds import montecarlo, sampler
+from rootbounds.montecarlo import MAX_CHUNKS, MAX_THREADS, _chunk_sizes, _sig6, _sqrt_sig6
 from rootbounds.sampler import (
-    MAX_CHUNKS,
-    MAX_THREADS,
     _chunk_rng,
-    _chunk_sizes,
     _cond1_rows,
     _cond1_screen,
     _cond1_table,
@@ -31,8 +29,6 @@ from rootbounds.sampler import (
     _lone_one_limit,
     _rotate_batch,
     _runs,
-    _sig6,
-    _sqrt_sig6,
     _sub_batches,
     _visit_counts,
 )
@@ -303,7 +299,7 @@ def test_bad_seed_is_refused_before_any_work(monkeypatch, cartan3, seed):
     def no_work(*args):
         raise RuntimeError("work started")
 
-    monkeypatch.setattr(sampler, "dyck_count", no_work)
+    monkeypatch.setattr(montecarlo, "dyck_count", no_work)
     monkeypatch.setattr(sampler, "_chunk_rng", no_work)
     message = rf"^seed must be a nonnegative integer, got {seed}$"
     with pytest.raises(ValueError, match=message):
@@ -321,7 +317,7 @@ def test_bad_counts_are_refused_before_any_work(monkeypatch, cartan3, name, valu
     def no_work(*args):
         raise RuntimeError("work started")
 
-    monkeypatch.setattr(sampler, "dyck_count", no_work)
+    monkeypatch.setattr(montecarlo, "dyck_count", no_work)
     monkeypatch.setattr(sampler, "_chunk_rng", no_work)
     kwargs = dict(samples=10, chunk=5, threads=1)
     kwargs[name] = value

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from rootbounds import (
     FilterLevel,
     Rank2Cartan,
     Weight,
+    cond1,
+    cond2,
     count_valid_string_data,
     enumerate_dyck,
     is_dyck,
@@ -63,6 +66,32 @@ def test_runs_to_word_rejects_interior_zero():
         runs_to_word((2, 0, 1))
     with pytest.raises(ValueError):
         runs_to_word((1, 2, -1))
+
+
+# r = 2^62 is where a numpy run wraps: littelmann_valid, cond1 and cond2
+# returned False, with only a RuntimeWarning, for the np.int64 runs whose
+# plain ints give True, and runs_to_word took any run that supports *
+HUGE = Rank2Cartan(2**62)
+RUN_ENTRY_POINTS = {
+    "littelmann_valid": (lambda runs: littelmann_valid(runs, HUGE), (3, 2, 5, 1)),
+    "cond1": (lambda runs: cond1(runs, HUGE), (5, 3, 4, 2)),
+    "cond2": (lambda runs: cond2(runs, HUGE), (5, 3, 4, 2)),
+    "runs_to_word": (runs_to_word, (5, 3, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", RUN_ENTRY_POINTS)
+def test_run_entry_points_refuse_runs_that_are_not_plain_ints(name):
+    fn, runs = RUN_ENTRY_POINTS[name]
+    assert fn(runs)
+    for bad in (
+        tuple(np.int64(a) for a in runs),
+        np.array(runs),
+        runs[:-1] + (2.0,),
+        (True,) + runs[1:],
+    ):
+        with pytest.raises(ValueError, match=r"^runs must be plain integers, got "):
+            fn(bad)
 
 
 @given(word=bit_words)
