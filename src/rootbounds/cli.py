@@ -9,13 +9,15 @@ coordinates, theorem, k and distance go out as JSON numbers of any size.
 Only estimate and stats load numpy: estimate_bound and visits_statistic
 come from montecarlo.py, which imports the numpy sampler only when one of
 them runs.  The two commands call them as attributes of this module, so a
-wrapper set on rootbounds.cli is the one that runs.
+wrapper set on rootbounds.cli is the one that runs.  The exact commands
+(mult, bound, table, validate) start fast: they load neither numpy nor
+dataclasses, and csv loads only where CSV is written (table and
+--format csv).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -74,6 +76,7 @@ def _theorem_level(theorem: int) -> FilterLevel:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "csv":
+        import csv
         scalar = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
         writer = csv.writer(sys.stdout)
         writer.writerow(scalar.keys())
@@ -209,6 +212,7 @@ def cmd_table(args) -> int:
             check_bound_height(*root)
     table = MultiplicityTable(cartan)
     table.fill_box(*box)
+    import csv
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "root_c0", "root_c1", "multiplicity", "bound1", "bound2", "gap1", "gap2"])
     for (n, root), skipped in zip(rows, skips):

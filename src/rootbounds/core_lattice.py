@@ -9,7 +9,6 @@ the two simple roots, so a weight is just a pair of coefficients
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -36,21 +35,40 @@ def as_weight(value) -> Weight:
     return Weight(c0, c1)
 
 
-@dataclass(frozen=True)
 class Rank2Cartan:
     """The single parameter r defining the Cartan matrix [[2, -r], [-r, 2]].
 
     r must be a plain int: a float breaks the exact arithmetic, and a
     numpy integer would move it into wrapping fixed-width arithmetic.
+    An instance is immutable and hashable, equal to another exactly when
+    both have the same r.
     """
 
-    r: int
+    __slots__ = ("r",)
 
-    def __post_init__(self) -> None:
-        if not is_int(self.r):
-            raise ValueError(f"r must be an integer, got {self.r!r}")
-        if self.r < 3:
-            raise ValueError(f"hyperbolic regime requires r >= 3, got {self.r}")
+    def __init__(self, r: int) -> None:
+        if not is_int(r):
+            raise ValueError(f"r must be an integer, got {r!r}")
+        if r < 3:
+            raise ValueError(f"hyperbolic regime requires r >= 3, got {r}")
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Rank2Cartan is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.r == other.r if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.r,))
+
+    def __repr__(self) -> str:
+        return f"Rank2Cartan(r={self.r!r})"
+
+    def __reduce__(self):
+        return (Rank2Cartan, (self.r,))
 
 
 class Weight(NamedTuple):

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core_lattice import Rank2Cartan, RootClass, Weight, as_weight, classify, dyck_count
 from .stability_filters import (
@@ -83,8 +82,7 @@ def check_bound_height(n: int, m: int) -> None:
         )
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     weight: Weight
     r: int
     dyck_total: int

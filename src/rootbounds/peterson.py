@@ -27,7 +27,6 @@ independent check on every cell of a large box.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count
 from operator import add, sub
@@ -52,7 +51,6 @@ def check_box(c0max: int, c1max: int) -> None:
         )
 
 
-@dataclass
 class MultiplicityTable:
     """Exact (c, mult) entries over a lower box, each fill built whole.
 
@@ -63,10 +61,11 @@ class MultiplicityTable:
     scratch, the least box that holds both, so fill the largest box first.
     """
 
-    cartan: Rank2Cartan
-    _box: tuple[int, int] = field(default=(0, 0), init=False)
-    _f: list[list[int]] = field(default_factory=lambda: [[0]], init=False, repr=False)
-    _m: list[list[int]] = field(default_factory=lambda: [[0]], init=False, repr=False)
+    def __init__(self, cartan: Rank2Cartan) -> None:
+        self.cartan = cartan
+        self._box = (0, 0)
+        self._f = [[0]]
+        self._m = [[0]]
 
     @property
     def r(self) -> int:

@@ -664,6 +664,31 @@ def test_only_sampling_commands_load_numpy(argv, loads_numpy):
     assert proc.stdout.splitlines()[-2] == f"futures {loads_numpy}"
 
 
+_LEAN_PROBE = """
+import sys
+before = set(sys.modules)
+from rootbounds.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted((set(sys.modules) - before) & {"csv", "dataclasses", "inspect"}))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_csv", [
+    (("mult", "--root", "16,15"), False),
+    (("mult", "--root", "16,15", "--format", "csv"), True),
+    (("bound", "--root", "11,8", "--theorem", "2", "--list"), False),
+    (("bound", "--root", "11,8", "--theorem", "1", "--format", "csv"), True),
+    (("table", "--family", "staircase", "--max-n", "3"), True),
+    (("validate", "--word", "1010001"), False),
+])
+def test_exact_commands_start_lean(argv, loads_csv):
+    # the exact commands print in milliseconds, so start-up is most of their
+    # time: they load no dataclasses or inspect, and csv only to write CSV
+    proc = _run_module("-c", _LEAN_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ("0 csv" if loads_csv else "0")
+
+
 _LIBRARY_PROBE = """
 import sys
 import rootbounds
@@ -695,23 +720,30 @@ def test_library_loads_numpy_only_for_a_sampling_call_that_runs():
     assert proc.stdout.splitlines() == ["False", "4 False", "True"]
 
 
-def _imports_numpy(path: Path) -> bool:
+def _imported_packages(path: Path) -> set[str]:
+    """The top-level packages that a module's absolute imports name."""
+    names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "numpy" for name in names):
-            return True
-    return False
+            names.add((node.module or "").split(".")[0])
+    return names
 
 
 def test_sampler_is_the_only_numpy_module():
-    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if _imports_numpy(path)] == [
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in paths if "numpy" in _imported_packages(path)] == [
         "sampler.py"
     ]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: about a quarter of the
+    # time a fresh interpreter took to import rootbounds.cli
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert "cli.py" in [path.name for path in paths]
+    assert [path.name for path in paths if "dataclasses" in _imported_packages(path)] == []
 
 
 def test_no_assert_in_the_package():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import gcd, isqrt
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from rootbounds import (
     ALPHA0,
     ALPHA1,
+    BoundReport,
     FilterLevel,
     MultiplicityTable,
     Rank2Cartan,
@@ -47,6 +50,37 @@ def test_cartan_refuses_r_that_is_not_an_int(r):
     # multiplicity fill into wrapping int64 arithmetic
     with pytest.raises(ValueError, match=r"^r must be an integer, got "):
         Rank2Cartan(r)
+
+
+def test_cartan_is_an_immutable_value_keyed_by_r():
+    cartan = Rank2Cartan(3)
+    assert cartan == Rank2Cartan(r=3) and hash(cartan) == hash(Rank2Cartan(3))
+    assert cartan != Rank2Cartan(4) and cartan != 3 and cartan != (3,)
+    assert len({cartan, Rank2Cartan(3), Rank2Cartan(4)}) == 2
+    assert repr(cartan) == "Rank2Cartan(r=3)"
+    with pytest.raises(AttributeError):
+        cartan.r = 4
+    with pytest.raises(AttributeError):
+        del cartan.r
+    with pytest.raises(AttributeError):
+        cartan.s = 4
+    assert cartan.r == 3
+    for twin in (pickle.loads(pickle.dumps(cartan)), copy.copy(cartan), copy.deepcopy(cartan)):
+        assert type(twin) is Rank2Cartan and twin == cartan and twin.r == 3
+
+
+def test_bound_report_fields_keep_their_order():
+    assert BoundReport._fields == (
+        "weight", "r", "dyck_total", "count_thm1", "count_thm2", "elapsed"
+    )
+    report = bound_report((3, 2), Rank2Cartan(3))
+    assert report[:5] == ((3, 2), 3, 2, report.count_thm1, report.count_thm2)
+
+
+def test_multiplicity_table_takes_only_a_cartan():
+    table = MultiplicityTable(cartan=Rank2Cartan(3))
+    assert table.cartan == Rank2Cartan(3) and table.r == 3
+    assert dict(table.entries) == {}
 
 
 def test_form_values(cartan3):
