@@ -13,6 +13,11 @@ wrapper set on rootbounds.cli is the one that runs.  The exact commands
 (mult, bound, table, validate) start fast: they load neither numpy nor
 dataclasses, and csv loads only where CSV is written (table and
 --format csv).
+
+A call that names its subcommand builds only that subcommand's parser;
+argparse's add_argument is most of the time of a small exact command.
+Help, no argv and an unknown command build every subcommand's parser,
+so usage, help and error output are the full parser's.
 """
 
 from __future__ import annotations
@@ -41,8 +46,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _parse_root(text: str) -> Weight:
-    return as_weight(tuple(int(p) for p in text.split(",")))
+def _parse_root(text: str, option: str = "--root") -> Weight:
+    try:
+        c0, c1 = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"{option} needs two comma-separated integers c0,c1, got {text!r}"
+        ) from None
+    return as_weight((c0, c1))
 
 
 def _parse_seed(text: str) -> int:
@@ -191,7 +202,7 @@ def cmd_table(args) -> int:
     if args.family == "custom":
         if not args.roots:
             raise ValueError("--family custom needs --roots 'c0,c1;c0,c1;...'")
-        roots = [_parse_root(part) for part in args.roots.split(";")]
+        roots = [_parse_root(part, "--roots entry") for part in args.roots.split(";")]
         box = (max(root.c0 for root in roots), max(root.c1 for root in roots))
     else:
         if args.max_n < 1:
@@ -235,31 +246,23 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="rootbounds",
-        description=(
-            "Exact rank-2 hyperbolic root multiplicities and Dyck-path upper "
-            "bounds.  Roots are given as --root c0,c1 = coefficients of "
-            "(alpha0, alpha1); c0 counts right steps / letter 0, c1 counts "
-            "up steps / letter 1."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, root=True, fmt=True) -> None:
+    p.add_argument("--r", type=int, default=3, help="Cartan off-diagonal magnitude, >= 3")
+    if root:
+        p.add_argument("--root", required=True, help="weight as c0,c1")
+    if fmt:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def add_common(p, root=True, fmt=True):
-        p.add_argument("--r", type=int, default=3, help="Cartan off-diagonal magnitude, >= 3")
-        if root:
-            p.add_argument("--root", required=True, help="weight as c0,c1")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
 
+def _add_mult(sub) -> None:
     p = sub.add_parser("mult", help="exact root multiplicity")
-    add_common(p)
+    _add_common(p)
     p.set_defaults(fn=cmd_mult)
 
+
+def _add_bound(sub) -> None:
     p = sub.add_parser("bound", help="exact filtered Dyck path counts")
-    add_common(p)
+    _add_common(p)
     p.add_argument(
         "--theorem",
         type=int,
@@ -274,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_bound)
 
+
+def _add_estimate(sub) -> None:
     p = sub.add_parser("estimate", help="Monte-Carlo estimate of a bound")
-    add_common(p, fmt=False)
+    _add_common(p, fmt=False)
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=_parse_seed, required=True, help="decimal or hex")
@@ -289,11 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK, help="samples per RNG chunk")
     p.set_defaults(fn=cmd_estimate)
 
+
+def _add_validate(sub) -> None:
     p = sub.add_parser("validate", help="diagnose one binary word")
-    add_common(p, root=False)
+    _add_common(p, root=False)
     p.add_argument("--word", required=True, help="ASCII string of 0s and 1s")
     p.set_defaults(fn=cmd_validate)
 
+
+def _add_table(sub) -> None:
     p = sub.add_parser("table", help="CSV accuracy table over a root family")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--family", choices=("staircase", "antistaircase", "custom"), required=True)
@@ -307,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_table)
 
+
+def _add_stats(sub) -> None:
     p = sub.add_parser("stats", help="diagonal-visit statistic of sampled paths")
     p.add_argument("--k", type=int, required=True, help="paths run to (k+1, k)")
     p.add_argument("--distance", type=int, required=True, help="count points with y - x = distance")
@@ -315,12 +326,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
     p.set_defaults(fn=cmd_stats)
 
+
+# each subcommand's registration, in the order the usage and help list them
+_COMMANDS = {
+    "mult": _add_mult,
+    "bound": _add_bound,
+    "estimate": _add_estimate,
+    "validate": _add_validate,
+    "table": _add_table,
+    "stats": _add_stats,
+}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="rootbounds",
+        description=(
+            "Exact rank-2 hyperbolic root multiplicities and Dyck-path upper "
+            "bounds.  Roots are given as --root c0,c1 = coefficients of "
+            "(alpha0, alpha1); c0 counts right steps / letter 0, c1 counts "
+            "up steps / letter 1."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _COMMANDS[name](sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
+    return _parser(_COMMANDS)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call that names its subcommand parses exactly as under the full
+    # parser, so it builds only that subparser.  Any other argv (none, -h,
+    # an unknown command) needs every subcommand for its usage, help or
+    # error, so it gets them all.  Each call builds its parser anew: the
+    # --threads default reads the environment at that moment.
+    commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _parser(commands).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

@@ -138,6 +138,11 @@ def littelmann_valid(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
     the walk stops at the first failing pair.
     """
     check_runs(runs)
+    return _pairs_valid(runs, cartan)
+
+
+def _pairs_valid(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
+    """littelmann_valid's pair test, for runs already known to be plain ints."""
     pairs = pairwise(_measuring_roots(cartan))
     for a_cur, a_next, (bj, bj1) in zip(runs[1:], runs[2:], pairs):
         if a_next * bj.c0 > a_cur * bj1.c0 or a_next * bj.c1 > a_cur * bj1.c1:
@@ -163,6 +168,7 @@ def count_valid_string_data(weight, cartan: Rank2Cartan, limit: int = 24) -> int
         word = [0] * total
         for i in ones:
             word[i] = 1
-        if littelmann_valid(word_to_runs(word), cartan):
+        # word_to_runs makes plain ints, so the run check is skipped
+        if _pairs_valid(word_to_runs(word), cartan):
             count += 1
     return count

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -536,6 +537,115 @@ def test_root_parse_errors(capsys):
     code, _, err = run_cli(capsys, "mult", "--root=-1,2")
     assert code == 2
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mult", "--root", "a,b"), "--root needs two comma-separated integers c0,c1, got 'a,b'"),
+    (("mult", "--root", "3,2,"), "--root needs two comma-separated integers c0,c1, got '3,2,'"),
+    (("bound", "--root", "", "--theorem", "1"),
+     "--root needs two comma-separated integers c0,c1, got ''"),
+    (("table", "--family", "custom", "--roots", "3,2;"),
+     "--roots entry needs two comma-separated integers c0,c1, got ''"),
+], ids=["letters", "trailing-comma", "empty", "roots-entry"])
+def test_root_parse_errors_name_the_option(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+COMMANDS = ("mult", "bound", "estimate", "validate", "table", "stats")
+
+# the valid argvs of the goldens above, one or more per command
+GOLDEN_ARGVS = [
+    ("mult", "--root", "16,15"),
+    ("mult", "--root", "4,3", "--format", "csv"),
+    ("bound", "--root", "4,3", "--theorem", "1", "--list"),
+    ("bound", "--root", "3,4", "--theorem", "2"),
+    ("estimate", "--root", "4,3", "--theorem", "1", "--samples", "1000", "--seed", "0x2A"),
+    ("validate", "--word", "1010001"),
+    ("table", "--family", "staircase", "--max-n", "6"),
+    ("table", "--family", "custom", "--roots", "4,3;15,11", "--skip-bounds-above", "100000"),
+    ("stats", "--k", "1", "--distance", "0", "--samples", "100"),
+]
+
+PARSE_CORPUS = GOLDEN_ARGVS + [(command, "-h") for command in COMMANDS] + [
+    ("bound", "--root", "4,3"),  # a required option missing
+    ("mult", "--root", "4,3", "--format", "xml"),  # a value outside the choices
+    ("stats", "--k", "x", "--distance", "0", "--samples", "10"),  # a bad int
+    ("validate", "--word", "1", "--root", "4,3"),  # an unrecognized argument
+    (),
+    ("-h",),
+    ("nope",),
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no-argv"
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Makes every command hand its Namespace back instead of running."""
+    seen = []
+    for command in COMMANDS:
+        monkeypatch.setattr(rootbounds.cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+    return seen
+
+
+def _parse_route(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=_argv_id)
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, parsed, argv):
+    # main builds only the named command's parser; the Namespace, or the
+    # exit code with its usage, help or error bytes, must not change
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def via_main(argv):
+        assert main(argv) == 0
+        return parsed.pop()
+
+    full = _parse_route(capsys, lambda argv: build_parser().parse_args(argv), argv)
+    assert _parse_route(capsys, via_main, argv) == full
+    assert parsed == []
+
+
+@pytest.fixture
+def added(monkeypatch):
+    """Records the name of every subparser built."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=_argv_id)
+def test_a_named_command_builds_only_its_parser(capsys, parsed, added, argv):
+    assert main(list(argv)) == 0
+    assert added == [argv[0]]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, parsed, added):
+    monkeypatch.setattr(sys, "argv", ["rootbounds", "validate", "--word", "10"])
+    assert main() == 0
+    assert added == ["validate"]
+    assert parsed[0].word == "10"
+
+
+@pytest.mark.parametrize("argv", [(), ("-h",), ("nope",)], ids=_argv_id)
+def test_help_and_unknown_commands_build_every_parser(capsys, parsed, added, argv):
+    with pytest.raises(SystemExit):
+        main(list(argv))
+    assert added == list(COMMANDS)
 
 
 def _run_module(*flags_and_argv):

@@ -212,6 +212,17 @@ def test_count_valid_examples(cartan3):
     assert count_valid_string_data((1, 1), cartan3) == 2
 
 
+def test_count_valid_checks_no_run_of_its_own_words(cartan3, monkeypatch):
+    # word_to_runs makes plain ints, so the enumeration skips check_runs;
+    # littelmann_valid still checks the runs it is given
+    checked = []
+    monkeypatch.setattr(string_data, "check_runs", checked.append)
+    assert count_valid_string_data((4, 3), cartan3) == 32
+    assert checked == []
+    assert littelmann_valid((1, 1, 1, 3, 1), cartan3) is False
+    assert checked == [(1, 1, 1, 3, 1)]
+
+
 def test_count_valid_respects_limit(cartan3):
     with pytest.raises(ValueError):
         count_valid_string_data((20, 20), cartan3)
