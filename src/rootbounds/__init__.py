@@ -18,7 +18,7 @@ from .core_lattice import (
     dyck_count,
     simple_reflection,
 )
-from .counting import BoundReport, bound1, bound2, bound_report, enumerate_dyck
+from .counting import BoundReport, bound1, bound2, bound_report, dyck_words, enumerate_dyck
 from .montecarlo import EstimateReport, VisitsReport, estimate_bound, visits_statistic
 from .peterson import MultiplicityTable, kostant_count, multiplicity
 from .stability_filters import FilterLevel, cond1, cond1_pair, cond2, passes_filters
@@ -53,6 +53,7 @@ __all__ = [
     "cond2",
     "count_valid_string_data",
     "dyck_count",
+    "dyck_words",
     "enumerate_dyck",
     "estimate_bound",
     "is_dyck",

@@ -26,15 +26,18 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from math import gcd
 from typing import Optional, Sequence
 
 from .core_lattice import Rank2Cartan, Weight, as_weight, classify, dyck_count
-from .counting import MAX_LISTED_PATHS, bound_report, check_bound_height, enumerate_dyck
+from .counting import MAX_LISTED_PATHS, bound_report, check_bound_height, dyck_words
+from .counting import enumerate_dyck  # noqa: F401  bench/tracing.py patches cli.enumerate_dyck
 from .montecarlo import DEFAULT_CHUNK, MAX_THREADS, estimate_bound, visits_statistic
 from .peterson import MultiplicityTable, check_box
 from .stability_filters import FilterLevel, cond1, cond2
-from .string_data import is_dyck, littelmann_valid, runs_to_word, weight_of, word_to_runs
+from .string_data import is_dyck, littelmann_valid, weight_of, word_to_runs
+from .string_data import runs_to_word  # noqa: F401  bench/tracing.py patches cli.runs_to_word
 
 THREADS_ENV = "ROOTBOUNDS_THREADS"
 
@@ -134,13 +137,7 @@ def cmd_bound(args) -> int:
         "elapsed_seconds": round(report.elapsed, 3),
     }
     if args.list:
-        words: list[str] = []
-        enumerate_dyck(
-            root,
-            cartan,
-            _theorem_level(args.theorem),
-            visit=lambda runs: words.append(runs_to_word(runs)),
-        )
+        words = dyck_words(root, cartan, _theorem_level(args.theorem))
         # the listing and the DP are independent routes to the same count
         if len(words) != bound:
             raise ArithmeticError(f"listed {len(words)} paths, the DP counts {bound}")
@@ -359,6 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     return _parser(_COMMANDS)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line, like an error, with no source path or source line
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A call that names its subcommand parses exactly as under the full
@@ -368,11 +370,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # --threads default reads the environment at that moment.
     commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     args = _parser(commands).parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.fn(args)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

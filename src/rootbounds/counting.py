@@ -8,25 +8,28 @@ of f(x) = O_{x-1} + O_x - r*E_{x-1}.  So a prefix matters only through
 (O, E, last run, running min f), where O and E are the up and right
 steps placed so far.
 
-Two independent routes walk these states.  enumerate_dyck walks them
-depth first with _successors, which tests every run with cond1_pair and
-cond2_step, and memoizes on the exact state, with no clamp: it keeps
-each state's number of completions and, for a listing, each live
-state's successors, from which it builds the paths out of shared
-suffixes.  _count, behind bound1, bound2 and
-bound_report, is a dynamic program over half-steps that tests no run:
-it reads the longest run each filter allows from cond1_limit and
-cond2_max_up.  An up half-step appends an up run, a right half-step a
-right run.  Two exact clamps merge states: the last run matters only
-through the cap it puts on the next run, and the running min only up to
-the value at which every cond2 test still ahead passes.  States sharing
-(O, E, running min) then differ only in their cap, so each such group
-walks its runs once: it lays its counts out by cap and walks its runs
-longest first in one flat loop, keeping a running sum, so that each run
-carries the count of every state whose cap admits it.  The per-run
-limits come from tables built once per O, and cond2_max_up is read once
-per group.  A half-step adds to O, or keeps O and adds to E, so states
-are settled in order of O, whatever the number of pairs before them.
+Two independent routes walk these states.  enumerate_dyck and
+dyck_words walk them depth first with _successors, which tests every
+run with cond1_pair and cond2_step, and memoize on the exact state,
+with no clamp: the walk keeps each state's number of completions and,
+for a listing, each live state's successors.  A listing is built from
+shared suffixes: each live state's list of completions, as run tuples
+for enumerate_dyck's visitor or as words for dyck_words, is built once
+and reused by every prefix that reaches the state.  _count, behind
+bound1, bound2 and bound_report, is a dynamic program over half-steps
+that tests no run: it reads the longest run each filter allows from
+cond1_limit and cond2_max_up.  An up half-step appends an up run, a
+right half-step a right run.  Two exact clamps merge states: the last
+run matters only through the cap it puts on the next run, and the
+running min only up to the value at which every cond2 test still ahead
+passes.  States sharing (O, E, running min) then differ only in their
+cap, so each such group walks its runs once: it lays its counts out by
+cap and walks its runs longest first in one flat loop, keeping a
+running sum, so that each run carries the count of every state whose
+cap admits it.  The per-run limits come from tables built once per O,
+and cond2_max_up is read once per group.  A half-step adds to O, or
+keeps O and adds to E, so states are settled in order of O, whatever
+the number of pairs before them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import time
 import warnings
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .core_lattice import Rank2Cartan, RootClass, Weight, as_weight, classify, dyck_count
 from .stability_filters import (
@@ -48,6 +51,7 @@ from .stability_filters import (
 
 Visitor = Callable[[tuple[int, ...]], None]
 State = tuple[int, int, int, int]
+Path = Union[tuple[int, ...], str]
 
 # bound1, bound2 and bound_report refuse a root of greater height n + m
 # before the DP allocates a state.  The DP's time grows about as the
@@ -57,12 +61,12 @@ State = tuple[int, int, int, int]
 # through; (161,95) took 8.7 s, and (1001,1000) would take about half a day.
 MAX_BOUND_HEIGHT = 256
 
-# enumerate_dyck, and so bound --list, refuses to list more paths than
-# this, while counting them and before the first visit.  On the same VM
-# the walk lists the 45,751 paths at (12,13), theorem 1, in 18 ms (0.4 us
-# a path), and 0.25 s with runs_to_word making each a word as bound
-# --list does (5.4 us a path), so the longest listing let through takes
-# about 0.35 s.
+# enumerate_dyck and dyck_words, and so bound --list, refuse to list more
+# paths than this, while counting them and before the first path is
+# built.  On the same VM dyck_words lists the 45,751 words at (12,13),
+# theorem 1, in 12 ms (0.25 us a word, walk included), and bound --list
+# takes 23 ms in-process with the DP and the sort, so the longest
+# listing let through takes about 0.04 s.
 MAX_LISTED_PATHS = 2**16
 
 # enumerate_dyck refuses a walk that would keep more search states than
@@ -238,9 +242,12 @@ def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
 class _Walk:
     """A depth-first walk over the exact search states, memoized on the state.
 
-    The memo lives on this object, not in closures of recursive nested
-    functions, so it goes when the walk does and waits for no cyclic
-    garbage collection.
+    count takes each state's number of completions and, for a listing,
+    keeps each live state's successors; paths then builds the listing
+    from them, one shared list of suffixes per live state.  The memos
+    live on this object, not in closures of recursive nested functions,
+    so they go when the walk does and wait for no cyclic garbage
+    collection.
     """
 
     def __init__(self, n: int, m: int, cartan: Rank2Cartan, level: FilterLevel, listing: bool):
@@ -250,7 +257,7 @@ class _Walk:
         # live[state], kept only for a listing: the (u, v, next state)
         # that lead to at least one completion
         self.live: dict[State, list[tuple[int, int, Optional[State]]]] = {}
-        self.suffixes: dict[State, list[tuple[int, ...]]] = {}
+        self.suffixes: dict[State, list[Path]] = {}
 
     def count(self, state: State) -> int:
         """Number of completions of the state, each state's successors tested once."""
@@ -278,18 +285,41 @@ class _Walk:
             self.live[state] = nexts
         return ways
 
-    def paths(self, state: State) -> list[tuple[int, ...]]:
-        """The run tuples that complete a live state, in depth-first order."""
+    def paths(self, state: State, piece: Callable[[int, int], Path]) -> list[Path]:
+        """The paths that complete a live state, in depth-first order.
+
+        Each run pair becomes piece(u, v), and a path is the sum of its
+        pieces: a run tuple or a word.  Each live state's list is built
+        once and shared by every prefix that reaches it, so a walk lists
+        with one piece only.
+        """
         got = self.suffixes.get(state)
         if got is None:
             got = []
             for u, v, succ in self.live[state]:
+                head = piece(u, v)
                 if succ is None:
-                    got.append((u, v))
+                    got.append(head)
                 else:
-                    got.extend([(u, v) + rest for rest in self.paths(succ)])
+                    got.extend([head + rest for rest in self.paths(succ, piece)])
             self.suffixes[state] = got
         return got
+
+
+def _run_pair(u: int, v: int) -> tuple[int, int]:
+    return (u, v)
+
+
+def _letters(u: int, v: int) -> str:
+    return "1" * u + "0" * v
+
+
+def _walk(weight, cartan: Rank2Cartan, level: FilterLevel, listing: bool) -> tuple[_Walk, int]:
+    """A walk of the weight's exact states and its count from the start."""
+    n, m = _check_endpoint(weight)
+    check_bound_height(n, m)  # bounds the recursion depth as well
+    walk = _Walk(n, m, cartan, level, listing)
+    return walk, walk.count(_start(m))
 
 
 def enumerate_dyck(
@@ -311,18 +341,29 @@ def enumerate_dyck(
     depth-first order: runs ascending, the up run before the right run.
     The count walk then also keeps each live state's successors, and
     refuses a listing of more than MAX_LISTED_PATHS paths before the
-    first visit.  Each live state's list of suffixes is built once from
-    its successors and shared by every prefix that reaches the state.
+    first visit.  Each live state's run-tuple suffixes are built once
+    and shared by every prefix that reaches the state.
     """
-    n, m = _check_endpoint(weight)
-    check_bound_height(n, m)  # bounds the recursion depth as well
-    walk = _Walk(n, m, cartan, level, listing=visit is not None)
-    start = _start(m)
-    total = walk.count(start)
+    walk, total = _walk(weight, cartan, level, listing=visit is not None)
     if visit is not None and total:
-        for runs in walk.paths(start):
+        for runs in walk.paths(_start(walk.m), _run_pair):
             visit(runs)
     return total
+
+
+def dyck_words(
+    weight, cartan: Rank2Cartan, level: FilterLevel = FilterLevel.DYCK
+) -> list[str]:
+    """The paths of the given weight passing the filter, as binary words.
+
+    The same walk as enumerate_dyck's with a visitor, and the same
+    refusals, in the same depth-first order; [] when no path passes.
+    Each live state's suffix words are built once, as "1"*u + "0"*v
+    ahead of each live successor's suffix words, and shared by every
+    prefix that reaches the state, so no word is built from its runs.
+    """
+    walk, total = _walk(weight, cartan, level, listing=True)
+    return walk.paths(_start(walk.m), _letters) if total else []
 
 
 def _require_bound_weight(weight, cartan: Rank2Cartan) -> tuple[int, int]:

@@ -37,7 +37,10 @@ from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, as_weight, simple
 # a fill refuses a lower box of more cells than this before it allocates
 # any.  On a 2-vCPU Xeon VM the box up to (1023,1023), 2^20 cells, took
 # 1.6-1.8 s and 212 MB peak RSS at r = 3 (1.1 s and 333 MB at r = 2^62),
-# and (801,800) 0.9-1.0 s and 117 MB.
+# and (801,800) 0.9-1.0 s and 117 MB.  A thin box costs more per cell,
+# as each of its many short rows is a list of its own: at r = 3 the one
+# row up to (1,524287) took 1.2 s and 43 MB, the tall box up to
+# (524287,1) 10-18 s and 214 MB, and (30000,1) 0.7 s.
 MAX_CELLS = 1 << 20
 
 
@@ -101,13 +104,18 @@ class MultiplicityTable:
             _settle(M[0], 0, z, rest[z : z + 1], self.r)
             term = z * M[0][z]
             rest[2 * z :: z] = [v - term for v in rest[2 * z :: z]]
+        # divisors[x]: the divisors d > 1 of x, ascending, sieved once, so
+        # a tall thin box costs about c0max log c0max, not c0max^2
+        divisors = [[] for _ in range(c0max + 1)]
+        for d in range(2, c0max + 1):
+            for x in range(d, c0max + 1, d):
+                divisors[x].append(d)
         for x in range(1, c0max + 1):
             rest = [-f for f in F[x]]
             # for d | x the divisor terms lie along the slice y = 0 mod d
-            for d in range(2, x + 1):
-                if x % d == 0:
-                    terms = zip(rest[::d], count(x // d), M[x // d])
-                    rest[::d] = [v - h * m for v, h, m in terms]
+            for d in divisors[x]:
+                terms = zip(rest[::d], count(x // d), M[x // d])
+                rest[::d] = [v - h * m for v, h, m in terms]
             _settle(M[x], x, 0, rest, self.r)
         self._f, self._m, self._box = F, M, (c0max, c1max)
 

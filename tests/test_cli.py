@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import rootbounds.cli
-from rootbounds import Rank2Cartan, kostant_count, multiplicity, peterson
+from rootbounds import (
+    FilterLevel,
+    Rank2Cartan,
+    counting,
+    enumerate_dyck,
+    kostant_count,
+    multiplicity,
+    peterson,
+    runs_to_word,
+)
 from rootbounds.cli import THREADS_ENV, build_parser, main
 from rootbounds.counting import MAX_BOUND_HEIGHT, MAX_LISTED_PATHS, bound1, bound2, bound_report
 from rootbounds.peterson import MAX_CELLS, MultiplicityTable
@@ -103,7 +112,7 @@ def _no_listing(*args, **kwargs):
 
 
 def test_runaway_listing_is_refused_before_the_enumeration(capsys, monkeypatch):
-    monkeypatch.setattr(rootbounds.cli, "enumerate_dyck", _no_listing)
+    monkeypatch.setattr(rootbounds.cli, "dyck_words", _no_listing)
     code, out, err = run_cli(capsys, "bound", "--root", "26,25", "--theorem", "2", "--list")
     assert (code, out) == (2, "")
     assert err == f"error: --list stops at {MAX_LISTED_PATHS} paths; (26, 25) has 60668438425\n"
@@ -116,25 +125,67 @@ def test_listing_ceiling_admits_its_own_count(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["paths"]) == 4
     monkeypatch.setattr(rootbounds.cli, "MAX_LISTED_PATHS", 3)
-    monkeypatch.setattr(rootbounds.cli, "enumerate_dyck", _no_listing)
+    monkeypatch.setattr(rootbounds.cli, "dyck_words", _no_listing)
     code, out, err = run_cli(capsys, "bound", "--root", "4,3", "--theorem", "1", "--list")
     assert (code, out, err) == (2, "", "error: --list stops at 3 paths; (4, 3) has 4\n")
 
 
 def test_listing_is_checked_against_the_dp(capsys, monkeypatch):
     # a listing that drops a path disagrees with the DP's bound
-    listing = rootbounds.cli.enumerate_dyck
+    listing = rootbounds.cli.dyck_words
 
-    def drop_first(weight, cartan, level, visit):
-        seen = []
-        count = listing(weight, cartan, level, visit=seen.append)
-        for runs in seen[1:]:
-            visit(runs)
-        return count
+    def drop_first(weight, cartan, level):
+        return listing(weight, cartan, level)[1:]
 
-    monkeypatch.setattr(rootbounds.cli, "enumerate_dyck", drop_first)
+    monkeypatch.setattr(rootbounds.cli, "dyck_words", drop_first)
     code, out, err = run_cli(capsys, "bound", "--root", "4,3", "--theorem", "1", "--list")
     assert (code, out, err) == (2, "", "error: listed 3 paths, the DP counts 4\n")
+
+
+def test_listing_matches_the_words_of_the_visited_runs(capsys):
+    # the words made one by one from enumerate_dyck's run tuples
+    runs = []
+    enumerate_dyck((11, 8), Rank2Cartan(3), FilterLevel.COND2, visit=runs.append)
+    expected = sorted(runs_to_word(r) for r in runs)
+    code, out, err = run_cli(capsys, "bound", "--root", "11,8", "--theorem", "2", "--list")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["paths"] == expected
+    assert len(expected) == 720
+
+
+def test_listing_walk_refusals_reach_the_cli(capsys, monkeypatch):
+    # past the CLI's up-front ceiling, the walk still refuses with its own message
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 719)
+    code, out, err = run_cli(capsys, "bound", "--root", "11,8", "--theorem", "2", "--list")
+    assert (code, out, err) == (2, "", "error: listing stops at 719 paths; (11, 8) has more\n")
+    monkeypatch.setattr(counting, "MAX_WALK_STATES", 10)
+    code, out, err = run_cli(capsys, "bound", "--root", "11,8", "--theorem", "2", "--list")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration stops at 10 search states; (11, 8) needs more\n"
+
+
+NOT_IMAGINARY = (
+    "warning: weight (7, 1) is not an imaginary root; the count is still exact "
+    "but its upper-bound meaning is not guaranteed\n"
+)
+
+
+def test_bound_warns_in_one_line(capsys):
+    code, out, err = run_cli(capsys, "bound", "--root", "7,1", "--theorem", "1")
+    assert code == 0
+    assert json.loads(out)["bound"] == "0"
+    assert err == NOT_IMAGINARY
+
+
+def test_table_warns_in_one_line(capsys):
+    code, out, err = run_cli(capsys, "table", "--family", "custom", "--roots", "7,1;3,2")
+    assert code == 0
+    assert out == (
+        "n,root_c0,root_c1,multiplicity,bound1,bound2,gap1,gap2\r\n"
+        "1,7,1,0,0,0,0,0\r\n"
+        "2,3,2,2,2,2,0,0\r\n"
+    )
+    assert err == NOT_IMAGINARY
 
 
 def test_estimate_fixed_seed(capsys):

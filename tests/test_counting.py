@@ -13,6 +13,7 @@ from rootbounds import (
     bound_report,
     classify,
     dyck_count,
+    dyck_words,
     enumerate_dyck,
     passes_filters,
     runs_to_word,
@@ -287,3 +288,64 @@ def test_enumeration_refuses_a_root_above_the_bound_height(cartan3, monkeypatch)
     monkeypatch.setattr(counting, "_successors", _no_walk)
     with pytest.raises(ValueError, match="^exact bounds stop at height"):
         enumerate_dyck((1001, 1000), cartan3, FilterLevel.DYCK)
+
+
+def _visited_words(weight, cartan, level):
+    """The visitor's run tuples made words one by one, in visiting order."""
+    runs = []
+    enumerate_dyck(weight, cartan, level, visit=runs.append)
+    return [runs_to_word(r) for r in runs]
+
+
+def test_words_match_the_visited_runs():
+    for r in (3, 4, 5):
+        cartan = Rank2Cartan(r)
+        for total in range(2, 21):
+            for n in range(1, total):
+                m = total - n
+                if gcd(n, m) != 1:
+                    continue
+                for level in FilterLevel:
+                    expected = _visited_words((n, m), cartan, level)
+                    words = dyck_words((n, m), cartan, level)
+                    assert words == expected, (r, n, m, level)
+
+
+def test_words_of_a_large_listing(cartan3):
+    words = dyck_words((12, 13), cartan3, FilterLevel.COND1)
+    assert len(words) == len(set(words)) == 45751
+    assert words == _visited_words((12, 13), cartan3, FilterLevel.COND1)
+
+
+def test_words_are_empty_when_no_path_passes(cartan3):
+    assert enumerate_dyck((7, 1), cartan3, FilterLevel.COND1) == 0
+    assert dyck_words((7, 1), cartan3, FilterLevel.COND1) == []
+
+
+# dyck_words refuses with enumerate_dyck's messages, tested above
+def test_words_refuse_past_the_listing_ceiling(cartan3, monkeypatch):
+    # (11,8) has 720 paths under cond2
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 720)
+    assert len(dyck_words((11, 8), cartan3, FilterLevel.COND2)) == 720
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 719)
+    with pytest.raises(ValueError, match=r"^listing stops at 719 paths; \(11, 8\) has more$"):
+        dyck_words((11, 8), cartan3, FilterLevel.COND2)
+
+
+def test_words_refuse_past_the_state_ceiling(cartan3, monkeypatch):
+    level = FilterLevel.COND2
+    states = len(_reference_states((11, 8), cartan3, level))
+    monkeypatch.setattr(counting, "MAX_WALK_STATES", states)
+    assert len(dyck_words((11, 8), cartan3, level)) == 720
+    monkeypatch.setattr(counting, "MAX_WALK_STATES", states - 1)
+    message = rf"^enumeration stops at {states - 1} search states; \(11, 8\) needs more$"
+    with pytest.raises(ValueError, match=message):
+        dyck_words((11, 8), cartan3, level)
+
+
+def test_words_refuse_bad_endpoints_before_the_walk(cartan3, monkeypatch):
+    monkeypatch.setattr(counting, "_successors", _no_walk)
+    with pytest.raises(ValueError, match="^exact bounds stop at height"):
+        dyck_words((1001, 1000), cartan3, FilterLevel.DYCK)
+    with pytest.raises(ValueError, match="^enumeration needs both coordinates positive$"):
+        dyck_words((0, 3), cartan3, FilterLevel.DYCK)

@@ -181,6 +181,17 @@ def test_multiplicity_flip_symmetric(table3):
             assert table3.entry(Weight(c0, c1))[1] == table3.entry(Weight(c1, c0))[1]
 
 
+def test_thin_boxes_are_transposes(cartan3):
+    # the tall box subtracts the divisor terms of every c0 up to 3000, row
+    # by row; the wide one settles row 0 a cell at a time
+    tall = MultiplicityTable(cartan3)
+    tall.fill_box(3000, 6)
+    wide = MultiplicityTable(cartan3)
+    wide.fill_box(6, 3000)
+    assert len(tall.entries) == 3001 * 7 - 1
+    assert dict(tall.entries) == {Weight(c1, c0): e for (c0, c1), e in wide.entries.items()}
+
+
 def test_real_roots_and_non_roots():
     for r in (3, 4, 5):
         cartan = Rank2Cartan(r)
