@@ -17,8 +17,19 @@ h(gamma) = c0 + c1, the series F = h log D satisfies F D = h D, so
 
 with one checked exact division per cell and c_gamma = -F(gamma)/h(gamma).
 A table stores only the integer grids F and mult of one lower box, and
-each fill runs both recurrences over the whole box, a row at a time; c is
-built from F when an entry is looked up.
+each fill runs both recurrences a row at a time; c is built from F when
+an entry is looked up.
+
+The Cartan matrix is symmetric, so D, F, mult and 1/D are unchanged by
+the diagram flip (c0, c1) -> (c1, c0).  With s the shorter side, a box
+whose strip outside the square [0..s]^2 is at most s + 1 wide is filled
+tall, the long side indexing the rows: the square on and below the
+diagonal only, each finished row copied into its column, then the strip
+in full rows.  A thinner box is filled in full rows along its long side.
+A fill in the other orientation than asked is transposed back.  Before
+any cell is filled, the shifts in the square are checked to be closed
+under the flip with equal signs; a box that fails this is filled in full
+as asked, so each cell's check finds the faulty shift.
 The closed form of this logarithm is the Berman-Moody formula (Proc. AMS
 76, 1979).  Peterson's recursion (Kac 11.13) lives in the tests, as an
 independent check on every cell of a large box.
@@ -26,7 +37,7 @@ independent check on every cell of a large box.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, count
 from operator import add, sub
@@ -36,11 +47,11 @@ from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, as_weight, simple
 
 # a fill refuses a lower box of more cells than this before it allocates
 # any.  On a 2-vCPU Xeon VM the box up to (1023,1023), 2^20 cells, took
-# 1.6-1.8 s and 212 MB peak RSS at r = 3 (1.1 s and 333 MB at r = 2^62),
-# and (801,800) 0.9-1.0 s and 117 MB.  A thin box costs more per cell,
-# as each of its many short rows is a list of its own: at r = 3 the one
-# row up to (1,524287) took 1.2 s and 43 MB, the tall box up to
-# (524287,1) 10-18 s and 214 MB, and (30000,1) 0.7 s.
+# 0.8-1.2 s and 122 MB peak RSS at r = 3 (0.6-0.9 s and 182 MB at
+# r = 2^62), and (801,800) 0.4-0.6 s and 71 MB.  A thin box fills along
+# its long side: at r = 3 the one row up to (1,524287) took 1.0 s and
+# 43 MB, the tall box up to (524287,1) 1.1-1.2 s and 111 MB, and
+# (30000,1) 0.06-0.1 s.
 MAX_CELLS = 1 << 20
 
 
@@ -57,11 +68,12 @@ def check_box(c0max: int, c1max: int) -> None:
 class MultiplicityTable:
     """Exact (c, mult) entries over a lower box, each fill built whole.
 
-    The state is two integer grids indexed [c0][c1]: ``_f`` holds F, the
-    coefficients of h log D, and ``_m`` the multiplicity.  No entry is
-    stored: ``entries`` is a read-only view that builds (Fraction c, mult)
-    from the grids at each lookup.  A lookup outside the box refills, from
-    scratch, the least box that holds both, so fill the largest box first.
+    The state is two integer grids indexed [c0][c1], whose rows are tuples
+    after a transposed fill: ``_f`` holds F, the coefficients of h log D,
+    and ``_m`` the multiplicity.  No entry is stored: ``entries`` is a
+    read-only view that builds (Fraction c, mult) from the grids at each
+    lookup.  A lookup outside the box refills, from scratch, the least box
+    that holds both, so fill the largest box first.
     """
 
     def __init__(self, cartan: Rank2Cartan) -> None:
@@ -88,35 +100,42 @@ class MultiplicityTable:
         if (c0max, c1max) == self._box:
             return
         check_box(c0max, c1max)
-        shifts = list(_weyl_shifts(c0max, c1max, self.cartan))
-        F = [[0] * (c1max + 1) for _ in range(c0max + 1)]
-        M = [[0] * (c1max + 1) for _ in range(c0max + 1)]
+        F, shifts, flip, square = _oriented_grid(c0max, c1max, self.cartan)
         # the cells start as h D, and dividing by D turns them into F
         for a, b, sign in shifts:
             F[a][b] = (a + b) * sign
-        _divide_by_denominator(F, shifts)
+        _divide_by_denominator(F, shifts, square)
+        rows, cols = len(F) - 1, len(F[0]) - 1
+        M = [[0] * (cols + 1) for _ in F]
         # rest = h mult: -F less the terms h(gamma/d) mult(gamma/d) of the
-        # divisors d > 1 of gamma = (x, y).  gcd(0, y) = y, so row 0 reads
-        # itself: it is settled a cell at a time, each cell passing its term
-        # on to its multiples.
-        rest = [-f for f in F[0]]
-        for z in range(1, c1max + 1):
-            _settle(M[0], 0, z, rest[z : z + 1], self.r)
-            term = z * M[0][z]
-            rest[2 * z :: z] = [v - term for v in rest[2 * z :: z]]
-        # divisors[x]: the divisors d > 1 of x, ascending, sieved once, so
-        # a tall thin box costs about c0max log c0max, not c0max^2
-        divisors = [[] for _ in range(c0max + 1)]
-        for d in range(2, c0max + 1):
-            for x in range(d, c0max + 1, d):
+        # divisors d > 1 of gamma = (x, y).  gcd(0, y) = y, so a full row 0
+        # reads itself: it is settled a cell at a time, each cell passing
+        # its term on to its multiples.  In a half fill row 0 holds only
+        # the origin, and its other cells mirror column 0.
+        if not square:
+            rest = [-f for f in F[0]]
+            for z in range(1, cols + 1):
+                _settle(M[0], 0, z, rest[z : z + 1], self.r, flip)
+                term = z * M[0][z]
+                rest[2 * z :: z] = [v - term for v in rest[2 * z :: z]]
+        # divisors[x]: the divisors d > 1 of x, ascending, sieved once
+        divisors = [[] for _ in F]
+        for d in range(2, rows + 1):
+            for x in range(d, rows + 1, d):
                 divisors[x].append(d)
-        for x in range(1, c0max + 1):
-            rest = [-f for f in F[x]]
-            # for d | x the divisor terms lie along the slice y = 0 mod d
+        for x in range(1, rows + 1):
+            rest = [-f for f in F[x][: x + 1 if x < square else cols + 1]]
+            # for d | x the divisor terms lie along the slice y = 0 mod d.
+            # In a half fill every cell has x >= y, so its terms lie on or
+            # below the diagonal, and the square's mirror can wait
             for d in divisors[x]:
                 terms = zip(rest[::d], count(x // d), M[x // d])
                 rest[::d] = [v - h * m for v, h, m in terms]
-            _settle(M[x], x, 0, rest, self.r)
+            _settle(M[x], x, 0, rest, self.r, flip)
+        for y, column in enumerate(zip(*M[:square])):
+            M[y][y + 1 :] = column[y + 1 :]
+        if flip:
+            F, M = _transposed(F), _transposed(M)
         self._f, self._m, self._box = F, M, (c0max, c1max)
 
     def entry(self, weight) -> tuple[Fraction, int]:
@@ -128,9 +147,10 @@ class MultiplicityTable:
         return self.entries[weight]
 
 
-def _settle(m_row: list[int], x: int, y0: int, rest: list[int], r: int) -> None:
+def _settle(m_row: list[int], x: int, y0: int, rest: list[int], r: int, flip: bool) -> None:
     """Set m_row[y] = rest[y - y0] / h(x, y) for each y from y0, after
-    checking that the division is exact and the result fits the root class."""
+    checking that the division is exact and the result fits the root class.
+    A failure names the cell (x, y), or (y, x) in a transposed fill."""
     xx, rx = x * x, r * x
     for y, hm in enumerate(rest, y0):
         h = x + y
@@ -141,7 +161,7 @@ def _settle(m_row: list[int], x: int, y0: int, rest: list[int], r: int) -> None:
         q = xx + y * (y - rx)
         if rem or (m < 1 if q <= 0 else m != (1 if q == 1 else 0)):
             raise ArithmeticError(
-                f"multiplicity at {(x, y)} came out {Fraction(hm, h)}, "
+                f"multiplicity at {(y, x) if flip else (x, y)} came out {Fraction(hm, h)}, "
                 f"which no weight of half norm {q} has; "
                 "a Weyl shift is missing or wrong"
             )
@@ -211,16 +231,35 @@ def _weyl_shifts(c0max: int, c1max: int, cartan: Rank2Cartan):
             yield -mu.c0, -mu.c1, sign
 
 
-def _kostant_grid(c0max: int, c1max: int, cartan: Rank2Cartan) -> list[list[int]]:
+def _kostant_grid(c0max: int, c1max: int, cartan: Rank2Cartan) -> list[Sequence[int]]:
     """Kostant counts K[x][y] over the lower box, from the Weyl group alone:
     the coefficients of 1/D."""
-    K = [[0] * (c1max + 1) for _ in range(c0max + 1)]
+    K, shifts, flip, square = _oriented_grid(c0max, c1max, cartan)
     K[0][0] = 1
-    _divide_by_denominator(K, list(_weyl_shifts(c0max, c1max, cartan)))
-    return K
+    _divide_by_denominator(K, shifts, square)
+    return _transposed(K) if flip else K
 
 
-def _divide_by_denominator(G: list[list[int]], shifts) -> None:
+def _oriented_grid(c0max: int, c1max: int, cartan: Rank2Cartan):
+    """A zero grid for a fill of the box, oriented as the module docstring
+    says, the shifts the fill divides by, whether both are transposed, and
+    how many leading rows it fills by half."""
+    shifts = list(_weyl_shifts(c0max, c1max, cartan))
+    s, n = sorted((c0max, c1max))
+    inside = {(a, b, sign) for a, b, sign in shifts if a <= s and b <= s}
+    if any((b, a, sign) not in inside for a, b, sign in inside):
+        flip, square = False, 0
+    elif n - s <= s + 1:
+        flip, square = c0max < c1max, s + 1
+    else:
+        flip, square = c0max > c1max, 0
+    if flip:
+        c0max, c1max = c1max, c0max
+        shifts = [(b, a, sign) for a, b, sign in shifts]
+    return [[0] * (c1max + 1) for _ in range(c0max + 1)], shifts, flip, square
+
+
+def _divide_by_denominator(G: list[list[int]], shifts, square: int) -> None:
     """Divide the series G by D in place over the whole box:
     G(gamma) -= sum over w != 1 of eps(w) G(gamma - (rho - w rho)).
 
@@ -230,18 +269,41 @@ def _divide_by_denominator(G: list[list[int]], shifts) -> None:
     a = 0, alpha_1 = (0, 1) of s_1 (each later step of either chain raises
     c0), reads row x itself, so it runs last, as a running sum along each
     residue class of y mod b.
+
+    The first ``square`` rows, the square part of a symmetric grid under
+    symmetric shifts, are filled by half: row x only up to its diagonal
+    cell, whose term of a shift (a, 0) sits at (x - a, x), above the
+    diagonal, and is read through the mirror at (x, x - a) once the row's
+    running sum is done.  Every other term of a half row lies in a row
+    x - a, a > 0, at a column below x, which the copy of each finished
+    row into its column has filled.
     """
     across = [(a, b, sub if sign > 0 else add) for a, b, sign in shifts if a]
     # accumulate's step takes (new G at y - b, old G at y)
     along = [(b, _rsub if sign > 0 else add) for a, b, sign in shifts if not a]
     for x, row in enumerate(G):
-        n = len(row)
+        half = x < square
+        n = x + 1 if half else len(row)
         for a, b, op in across:
-            if a <= x and b < n:
-                row[b:] = map(op, row[b:], G[x - a][: n - b])
+            m = x if half and not b else n
+            if a <= x and b < m:
+                row[b:m] = map(op, row[b:m], G[x - a][: m - b])
         for b, step in along:
             for y0 in range(min(b, n - b)):
-                row[y0::b] = accumulate(row[y0::b], step)
+                row[y0:n:b] = accumulate(row[y0:n:b], step)
+        if half:
+            for a, b, op in across:
+                if not b and a <= x:
+                    row[x] = op(row[x], row[x - a])
+            for above, value in zip(G, row[:x]):
+                above[x] = value
+
+
+def _transposed(G: list[list[int]]) -> list[tuple[int, ...]]:
+    """The columns of G, as tuples: a transposed grid is only read, and the
+    collector soon stops tracking a tuple of ints, so a tall thin box's
+    many short rows do not slow every later collection as lists would."""
+    return list(zip(*G))
 
 
 def _rsub(prev: int, value: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 from rootbounds import counting
 from rootbounds import (
     FilterLevel,
+    MultiplicityTable,
     Rank2Cartan,
     RootClass,
     Weight,
@@ -147,6 +148,37 @@ def test_staircase_bound2_exact_through_14(table3, cartan3):
     for n in range(1, 15):
         assert bound2((n + 1, n), cartan3) == table3.entry(Weight(n + 1, n))[1], n
     assert bound2((16, 15), cartan3) - table3.entry(Weight(16, 15))[1] == 1
+
+
+# r: (coprime imaginary roots of height <= 40, those where bound2 is exact,
+# those with c0 > c1, those where the min over both orientations is exact)
+ORIENTATION_RECORD = {3: (217, 78, 108, 63), 4: (283, 214, 141, 141), 5: (323, 317, 161, 161)}
+
+
+@pytest.mark.parametrize("r", list(ORIENTATION_RECORD))
+def test_orientation_accuracy_record(r):
+    # mult(c0, c1) = mult(c1, c0), so both orientations bound it, and so
+    # does their min; the c0 > c1 orientation has never been the looser
+    cartan = Rank2Cartan(r)
+    table = MultiplicityTable(cartan)
+    table.fill_box(40, 40)
+    roots = [
+        (c0, c1)
+        for c0 in range(1, 40)
+        for c1 in range(1, 41 - c0)
+        if gcd(c0, c1) == 1 and classify((c0, c1), cartan) is RootClass.IMAGINARY
+    ]
+    bound = {root: bound2(root, cartan) for root in roots}
+    mult = {root: table.entries[root][1] for root in roots}
+    assert all(bound[root] >= mult[root] for root in roots)
+    down = [(c0, c1) for c0, c1 in roots if c0 > c1]
+    assert all(bound[root] <= bound[root[::-1]] for root in down)
+    assert ORIENTATION_RECORD[r] == (
+        len(roots),
+        sum(bound[root] == mult[root] for root in roots),
+        len(down),
+        sum(min(bound[root], bound[root[::-1]]) == mult[root] for root in down),
+    )
 
 
 # bound1 and bound2 for r = 3 at height 101, past reach of enumeration

@@ -359,6 +359,105 @@ def test_peterson_box_equals_weyl_kostant(r):
     assert K == _kostant_grid(n, n, cartan)
 
 
+@cache
+def _weyl_kostant(r: int) -> list[list[int]]:
+    # the Kostant grid up to (BOX, BOX) that test_peterson_box_equals_weyl_kostant
+    # rebuilds from Peterson's L*c grid, kept for the box-shape tests
+    L, C, _ = _peterson(r)
+    hc = [[(b0 + b1) * c for b1, c in enumerate(row)] for b0, row in enumerate(C)]
+    K = [[0] * (BOX + 1) for _ in range(BOX + 1)]
+    K[0][0] = 1
+    for g0 in range(BOX + 1):
+        for g1 in range(0 if g0 else 1, BOX + 1):
+            s = sum(sum(map(mul, hc[b0][: g1 + 1], K[g0 - b0][g1::-1])) for b0 in range(g0 + 1))
+            K[g0][g1], rem = divmod(s, L * (g0 + g1))
+            assert rem == 0, (r, g0, g1)
+    return K
+
+
+def _assert_box_equals_peterson(r: int, c0max: int, c1max: int) -> None:
+    L, C, M = _peterson(r)
+    table = MultiplicityTable(Rank2Cartan(r))
+    table.fill_box(c0max, c1max)
+    assert table.entries == {
+        Weight(a0, a1): (Fraction(C[a0][a1], L), M[a0][a1])
+        for a0 in range(c0max + 1)
+        for a1 in range(c1max + 1)
+        if a0 or a1
+    }, (r, c0max, c1max)
+    K = [row[: c1max + 1] for row in _weyl_kostant(r)[: c0max + 1]]
+    assert list(map(list, _kostant_grid(c0max, c1max, Rank2Cartan(r)))) == K, (r, c0max, c1max)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_every_box_shape_equals_peterson(r):
+    # a near-square box fills half its square and its strip as rows after
+    # it, a thin one fills along its long side, and either may run
+    # transposed; every way must give Peterson's cells and Kostant counts
+    for c0max in range(25):
+        for c1max in range(25):
+            _assert_box_equals_peterson(r, c0max, c1max)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize("s", [0, 1, 12, 29])
+def test_boxes_either_side_of_the_orientation_switch(r, s):
+    # a strip s + 1 wide still fills as rows after the half square, the
+    # long side down; one s + 2 wide is thin and fills along its long side
+    for width, square in ((s + 1, s + 1), (s + 2, 0)):
+        for box in ((s + width, s), (s, s + width)):
+            _, _, flip, half = peterson._oriented_grid(*box, Rank2Cartan(r))
+            assert (flip, half) == ((box[0] < box[1]) == (square > 0), square), box
+            _assert_box_equals_peterson(r, *box)
+
+
+def test_thin_boxes_past_the_reference_box(cartan3):
+    # (3000, 1) fills transposed, (1, 3000) as asked: they must be each
+    # other's transposes and agree with a near-square fill where they meet it
+    tall, wide, near = (MultiplicityTable(cartan3) for _ in range(3))
+    tall.fill_box(3000, 1)
+    wide.fill_box(1, 3000)
+    near.fill_box(300, 299)
+    assert dict(tall.entries) == {Weight(c1, c0): e for (c0, c1), e in wide.entries.items()}
+    shared = {Weight(x, y) for x in range(300) for y in range(2)} - {Weight(0, 0)}
+    for weights, thin in ((shared, tall), ({Weight(y, x) for x, y in shared}, wide)):
+        assert {w: thin.entries[w] for w in weights} == {w: near.entries[w] for w in weights}
+    K = _kostant_grid(3000, 1, cartan3)
+    assert K == list(zip(*_kostant_grid(1, 3000, cartan3)))
+    assert K[:300] == [tuple(row[:2]) for row in _kostant_grid(300, 299, cartan3)[:300]]
+
+
+@pytest.mark.parametrize(
+    "box, dropped", [((3000, 6), (12, 4, -1)), ((87, 88), (33, 88, -1))], ids=str
+)
+def test_a_transposed_fill_names_the_cell_asked_for(monkeypatch, cartan3, box, dropped):
+    # each shift lies outside the box's square, so the mirror check passes
+    # and the fill runs transposed (thin, then near-square), yet the failure
+    # names the dropped shift's cell as the caller sees it
+    monkeypatch.setattr(
+        peterson, "_weyl_shifts", lambda *b: [s for s in _weyl_shifts(*b) if s != dropped]
+    )
+    assert peterson._oriented_grid(*box, cartan3)[2]
+    a, b, _ = dropped
+    with pytest.raises(ArithmeticError, match=rf"^multiplicity at \({a}, {b}\) "):
+        MultiplicityTable(cartan3).fill_box(*box)
+
+
+@pytest.mark.parametrize("faulty", [[], [(4, 1, -1)]], ids=["dropped", "sign-flipped"])
+def test_an_unmirrored_shift_fills_the_box_in_full(monkeypatch, cartan3, faulty):
+    # a half fill would copy the faulty cell's mirror over it, so a square
+    # whose shifts are not closed under the mirror is filled in full and
+    # untransposed, where the faulty shift's own cell refuses it
+    monkeypatch.setattr(
+        peterson,
+        "_weyl_shifts",
+        lambda *b: faulty + [s for s in _weyl_shifts(*b) if s != (4, 1, 1)],
+    )
+    assert peterson._oriented_grid(30, 40, cartan3)[2:] == (False, 0)
+    with pytest.raises(ArithmeticError, match=r"^multiplicity at \(4, 1\) "):
+        MultiplicityTable(cartan3).fill_box(30, 40)
+
+
 def test_kostant_equals_string_count(cartan3, cartan4):
     for cartan in (cartan3, cartan4):
         for total in range(0, 11):
