@@ -43,7 +43,7 @@ from itertools import accumulate, count
 from operator import add, sub
 from typing import Optional
 
-from .core_lattice import ALPHA0, ALPHA1, Rank2Cartan, Weight, as_weight, simple_reflection
+from .core_lattice import Rank2Cartan, Weight, as_weight
 
 # a fill refuses a lower box of more cells than this before it allocates
 # any.  On a 2-vCPU Xeon VM the box up to (1023,1023), 2^20 cells, took
@@ -219,16 +219,23 @@ def _weyl_shifts(c0max: int, c1max: int, cartan: Rank2Cartan):
     lies in the lower box."""
     # Every w != 1 lies on one of the two alternating chains s_i, s_j s_i,
     # ...  The dot action mu -> s_i(mu) - alpha_i takes w.0 = w rho - rho
-    # to the next element's, and each step raises coordinate i of the
-    # shift rho - w rho, so a chain ends at its first shift outside the box.
+    # to the next element's; on the shift -mu it reads a -> r*b - a + 1
+    # for i = 0 and b -> r*a - b + 1 for i = 1.  Each step raises
+    # coordinate i of the shift, so a chain ends at its first shift
+    # outside the box.
+    r = cartan.r
     for first in (0, 1):
-        i, mu, sign = first, Weight(0, 0), 1
+        a = b = 0
+        i, sign = first, 1
         while True:
-            mu = Weight(*simple_reflection(i, mu, cartan)) - (ALPHA0, ALPHA1)[i]
+            if i == 0:
+                a = r * b - a + 1
+            else:
+                b = r * a - b + 1
             i, sign = 1 - i, -sign
-            if -mu.c0 > c0max or -mu.c1 > c1max:
+            if a > c0max or b > c1max:
                 break
-            yield -mu.c0, -mu.c1, sign
+            yield a, b, sign
 
 
 def _kostant_grid(c0max: int, c1max: int, cartan: Rank2Cartan) -> list[Sequence[int]]:

@@ -8,11 +8,13 @@ its own child RNG stream derived from (seed, chunk index), so results are
 bit-identical for a given (seed, samples, chunk) at any thread count.
 
 A chunk is drawn from its one generator in consecutive int64 sub-batches
-of at most SUB_BATCH_BYTES, and each sub-batch runs the whole pipeline
-before the next is drawn, so a chunk's memory stays at a few sub-batches
-whatever its size.  The rows are those of one permuted call over the
-whole chunk, and 8-byte items take numpy's fast swap path.  Words longer
-than MAX_LETTERS, whose single row would outgrow a sub-batch, are refused.
+of at most SUB_BATCH_BYTES, so a chunk's memory stays at a few
+sub-batches whatever its size.  In an estimate, each sub-batch runs the
+whole pipeline before the next is drawn.  The visit statistic draws one
+sub-batch ahead on one helper thread, so at most two are in flight.  The
+rows are those of one permuted call over the whole chunk, and 8-byte
+items take numpy's fast swap path.  Words longer than MAX_LETTERS, whose
+single row would outgrow a sub-batch, are refused.
 The draw, Generator.permuted(axis=1), releases the GIL while it
 shuffles, for int64 items as for float64 ones: under numpy 2.4, with the
 switch interval at 1 s, a thread sleeping 1 ms at a time kept waking
@@ -40,7 +42,8 @@ holds.
 The visit statistic at (k+1, k) rotates nothing: the weighted height
 there is (k + 1/2)*D + i/2 for the +-1 walk D of the word, so the cut is
 the first minimum of D and the rotated walk is read off D on either side
-of it.
+of it.  That count is about a third of a sub-batch's time at k = 200,
+and the helper's next draw hides it.
 
 This is the one module of the package that imports numpy or
 concurrent.futures.  Only montecarlo's entry points import it, once their
@@ -254,20 +257,35 @@ def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
     D = np.cumsum(W, axis=1, dtype=dt)
     D *= 2
     D -= np.arange(1, N + 1, dtype=dt)
-    q = np.argmin(D, axis=1)
-    D -= np.take_along_axis(D, q[:, None], axis=1)
-    D -= np.arange(N) <= q[:, None]
-    counts = (D == distance).sum(axis=1)
+    q = np.argmin(D, axis=1).astype(dt)
+    # D - D_q lies in [0, N - 1], as the walk moves by 1 a letter, so a
+    # distance past N is never met; clamped to N it keeps every value
+    # below inside dt
+    D -= np.take_along_axis(D, q[:, None], axis=1) + min(distance, N)
+    D -= np.arange(N, dtype=dt) <= q[:, None]
+    counts = np.count_nonzero(D == 0, axis=1)
     if distance == 0:
         counts += 1  # the origin sits on the main diagonal
     return counts
 
 
 def visit_sums(k: int, distance: int, seed: int, sizes) -> tuple[int, int]:
-    """The sum and the sum of squares of the visit counts over the seeded chunks of these sizes."""
+    """The sum and the sum of squares of the visit counts over the seeded chunks of these sizes.
+
+    One helper thread draws the next sub-batch while this one counts the
+    last: the draw releases the GIL, and only the helper advances the one
+    stream of sub-batches, so the rows and their order are those of the
+    chunks drawn one after another.  Leaving the pool waits for the draw
+    in flight, so no thread outlives the call, whichever side raises.
+    """
+    batches = (
+        W for index, size in enumerate(sizes) for W in _sub_batches(k + 1, k, seed, index, size)
+    )
     total = total_sq = 0
-    for index, size in enumerate(sizes):
-        for W in _sub_batches(k + 1, k, seed, index, size):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, batches, None)
+        while (W := ahead.result()) is not None:
+            ahead = pool.submit(next, batches, None)
             counts = _visit_counts(W, distance)
             total += int(counts.sum())
             total_sq += int((counts**2).sum())

@@ -1,3 +1,5 @@
+import threading
+from concurrent.futures import Future
 from itertools import combinations
 
 import pytest
@@ -27,11 +29,22 @@ def table4(cartan4):
     return MultiplicityTable(cartan4)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves alive a thread it found not running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running: {left}")
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replaces the sampler's ThreadPoolExecutor by one that starts no thread.
 
-    Returns the list of max_workers values asked for; chunks run serially.
+    Returns the list of max_workers values asked for; chunks run serially,
+    and submit runs its call at once and returns the completed Future.
     """
     sizes = []
 
@@ -47,6 +60,14 @@ def serial_pool(monkeypatch):
 
         def map(self, fn, jobs):
             return map(fn, jobs)
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(rootbounds.sampler, "ThreadPoolExecutor", SerialPool)
     return sizes

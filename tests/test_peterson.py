@@ -10,6 +10,8 @@ import pytest
 from conftest import mobius
 
 from rootbounds import (
+    ALPHA0,
+    ALPHA1,
     MultiplicityTable,
     Rank2Cartan,
     RootClass,
@@ -19,6 +21,7 @@ from rootbounds import (
     count_valid_string_data,
     kostant_count,
     multiplicity,
+    simple_reflection,
 )
 from rootbounds import peterson
 from rootbounds.peterson import _kostant_grid, _weyl_shifts
@@ -334,6 +337,31 @@ def test_fill_refuses_a_sign_flipped_weyl_shift(monkeypatch, r, flipped):
     )
     with pytest.raises(ArithmeticError, match=rf"^multiplicity at \({a}, {b}\) "):
         MultiplicityTable(Rank2Cartan(r)).fill_box(BOX, BOX)
+
+
+def _reference_weyl_shifts(c0max, c1max, cartan):
+    """The shifts as they were found: Weight arithmetic through the checked
+    simple_reflection, one dot action mu -> s_i(mu) - alpha_i per step."""
+    for first in (0, 1):
+        i, mu, sign = first, Weight(0, 0), 1
+        while True:
+            mu = Weight(*simple_reflection(i, mu, cartan)) - (ALPHA0, ALPHA1)[i]
+            i, sign = 1 - i, -sign
+            if -mu.c0 > c0max or -mu.c1 > c1max:
+                break
+            yield -mu.c0, -mu.c1, sign
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 2**62])
+def test_weyl_shifts_match_the_weight_reference(r):
+    # square, near-square and thin boxes in both orientations, with every
+    # side from 0 to 12 besides
+    cartan = Rank2Cartan(r)
+    boxes = [(a, b) for a in range(13) for b in range(13)]
+    boxes += [(16, 15), (51, 50), (53, 48), (48, 53), (101, 100), (100, 101)]
+    boxes += [(3000, 1), (1, 3000), (3000, 0), (0, 3000), (524287, 1), (1, 524287)]
+    for box in boxes:
+        assert list(_weyl_shifts(*box, cartan)) == list(_reference_weyl_shifts(*box, cartan)), box
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])

@@ -514,6 +514,90 @@ def test_visit_counts_match_rotation_on_draws(k):
         assert np.array_equal(_visit_counts(W, distance), _rotated_visit_counts(W, distance))
 
 
+def test_visit_counts_at_the_int16_edge():
+    # N = 32767 letters is the longest walk in int16; a distance at or past
+    # the walk's reach is never met, and a huge one must not overflow it
+    k = 16383
+    W = _whole_chunk(k + 1, k, seed=4, index=0, size=3)
+    for distance in (0, 1, 2, 2 * k, 2 * k + 1, 2 * k + 2, 10**6):
+        assert np.array_equal(_visit_counts(W, distance), _rotated_visit_counts(W, distance))
+
+
+def _sequential_visit_sums(k, distance, seed, sizes):
+    """visit_sums as it was: each sub-batch drawn, then counted, on the calling thread."""
+    total = total_sq = 0
+    for index, size in enumerate(sizes):
+        for W in _sub_batches(k + 1, k, seed, index, size):
+            counts = _visit_counts(W, distance)
+            total += int(counts.sum())
+            total_sq += int((counts**2).sum())
+    return total, total_sq
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 200])
+@pytest.mark.parametrize("rows", [1, 3, 7, None], ids=["1", "3", "7", "default"])
+def test_overlapped_visit_sums_match_the_sequential_loop(k, rows, monkeypatch):
+    # the helper draws one sub-batch ahead; no row count here divides a
+    # chunk, so every chunk ends on a short sub-batch
+    if rows is not None:
+        monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", rows * 8 * (2 * k + 1))
+    sizes = _chunk_sizes(1000, 334)
+    assert sizes == [334, 334, 332]
+    for distance in range(4):
+        expected = _sequential_visit_sums(k, distance, 9, sizes)
+        assert sampler.visit_sums(k, distance, 9, sizes) == expected, distance
+
+
+def test_visit_sums_passes_on_a_failed_count(monkeypatch):
+    # the count fails on the second sub-batch while the helper draws the
+    # third; the caller gets that error, and no thread is left behind
+    # (the autouse fixture checks that)
+    error = RuntimeError("count failed")
+    calls = []
+
+    def failing(W, distance):
+        calls.append(len(W))
+        if len(calls) == 2:
+            raise error
+        return _visit_counts(W, distance)
+
+    monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", 3 * 8 * 15)
+    monkeypatch.setattr(sampler, "_visit_counts", failing)
+    with pytest.raises(RuntimeError) as raised:
+        sampler.visit_sums(7, 1, 9, [10, 10])
+    assert raised.value is error
+    assert calls == [3, 3]
+
+
+def test_visit_sums_passes_on_a_failed_draw(monkeypatch):
+    # the helper fails to seed chunk 1, after chunk 0 was counted
+    error = RuntimeError("no generator")
+    counted = []
+
+    def failing_rng(seed, index):
+        if index == 1:
+            raise error
+        return _chunk_rng(seed, index)
+
+    def counting(W, distance):
+        counted.append(len(W))
+        return _visit_counts(W, distance)
+
+    monkeypatch.setattr(sampler, "_chunk_rng", failing_rng)
+    monkeypatch.setattr(sampler, "_visit_counts", counting)
+    with pytest.raises(RuntimeError) as raised:
+        sampler.visit_sums(7, 1, 9, [10, 10])
+    assert raised.value is error
+    assert counted == [10]
+
+
+def test_stats_asks_for_one_helper(serial_pool):
+    # with the serial pool the draws run on the calling thread, to the same bytes
+    report = visits_statistic(k=300, distance=2, samples=20000, seed=3, chunk=16384)
+    assert (report.mean, report.std_error) == ("11.6007", "0.0514361")
+    assert serial_pool == [1]
+
+
 def test_visits_wide_walk_matches_rotation():
     # N = 32769 letters is past the int16 range, so the walk runs in int32
     k = 16384
