@@ -8,17 +8,15 @@ of f(x) = O_{x-1} + O_x - r*E_{x-1}.  So a prefix matters only through
 (O, E, last run, running min f), where O and E are the up and right
 steps placed so far.
 
-Two independent routes walk these states.  enumerate_dyck and
-dyck_words walk them depth first with _successors, which tests every
-run with cond1_pair and cond2_step, and memoize on the exact state,
+Two independent routes walk these states, and neither tests a run: both
+read the longest run each filter allows from the same limits, the table
+lim of cond1_limit and cond2_max_up.  enumerate_dyck and dyck_words walk
+the states depth first with _successors and memoize on the exact state,
 with no clamp: the walk keeps each state's number of completions and,
-for a listing, each live state's successors.  A listing is built from
-shared suffixes: each live state's list of completions, as run tuples
-for enumerate_dyck's visitor or as words for dyck_words, is built once
-and reused by every prefix that reaches the state.  _count, behind
-bound1, bound2 and bound_report, is a dynamic program over half-steps
-that tests no run: it reads the longest run each filter allows from
-cond1_limit and cond2_max_up.  An up half-step appends an up run, a
+for dyck_words, each live state's successors.  dyck_words builds each
+live state's suffix words once and shares them with every prefix that
+reaches the state.  _count, behind bound1, bound2 and bound_report, is a
+dynamic program over half-steps.  An up half-step appends an up run, a
 right half-step a right run.  Two exact clamps merge states: the last
 run matters only through the cap it puts on the next run, and the
 running min only up to the value at which every cond2 test still ahead
@@ -37,21 +35,13 @@ from __future__ import annotations
 import time
 import warnings
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .core_lattice import Rank2Cartan, RootClass, Weight, as_weight, classify, dyck_count
-from .stability_filters import (
-    FilterLevel,
-    cond1_limits,
-    cond1_pair,
-    cond2_low,
-    cond2_max_up,
-    cond2_step,
-)
+from .stability_filters import FilterLevel, check_level, cond1_limits, cond2_low, cond2_max_up
+from .stability_filters import cond1_pair  # noqa: F401  bench/tracing.py patches counting.cond1_pair
 
-Visitor = Callable[[tuple[int, ...]], None]
 State = tuple[int, int, int, int]
-Path = Union[tuple[int, ...], str]
 
 # bound1, bound2 and bound_report refuse a root of greater height n + m
 # before the DP allocates a state.  The DP's time grows about as the
@@ -71,9 +61,9 @@ MAX_LISTED_PATHS = 2**16
 
 # enumerate_dyck refuses a walk that would keep more search states than
 # this, each about 130 B of memo.  On the same VM, at r = 3 under cond2,
-# (41,40) keeps 83,575 states in 2.7-4.3 s, and the walks at (46,45)
-# and (51,50) are refused at the ceiling after 7.2-7.8 and 10.6-11.0 s,
-# with tracemalloc peaks of 15.8 and 16.3 MiB.  Fewer filters keep fewer
+# (41,40) keeps 83,575 states in 2.1-2.7 s, and the walks at (46,45)
+# and (51,50) are refused at the ceiling after 4.5-6.1 and 6.0-7.3 s,
+# with tracemalloc peaks of 15.7 and 16.3 MiB.  Fewer filters keep fewer
 # states: (26,25) keeps 12,790 under cond2, 2,379 under cond1, 301 under none.
 MAX_WALK_STATES = 2**17
 
@@ -102,52 +92,46 @@ def _check_endpoint(weight) -> tuple[int, int]:
     return n, m
 
 
-def _start(m: int) -> State:
-    # no right run before the first pair, and m as the min of f makes
-    # the first cond2 step hold
-    return (0, 0, 0, m)
+def _run_limits(level: FilterLevel, size: int, r: int) -> tuple[list[int], bool]:
+    """(lim, use2) for paths of size = n + m steps: lim[a] is the longest run
+    after a run of a, lim[0] leaves the first run uncapped, and use2 says
+    whether cond2 applies."""
+    check_level(level)
+    lim = [size] * (size + 1) if level is FilterLevel.DYCK else cond1_limits(size, r)
+    lim[0] = size
+    return lim, level is FilterLevel.COND2
 
 
 def _successors(
-    state: State, n: int, m: int, cartan: Rank2Cartan, level: FilterLevel
+    state: State, n: int, m: int, r: int, lim: list[int], use1: bool, use2: bool
 ) -> Iterator[tuple[int, int, Optional[State]]]:
     """Yield (u, v, next state) for each run pair that may follow the prefix.
 
-    The next state is None when the pair ends the path at (n, m).
+    The next state is None when the pair ends the path at (n, m).  The
+    last run is kept in the state only under cond1 (use1), and 0 reads
+    as no cap.
     """
     O, E, last, low = state
-    r = cartan.r
-    use1 = level is not FilterLevel.DYCK
-    use2 = level is FilterLevel.COND2
-    for u in range(1, m - O + 1):
-        # a failing ratio or cond2 step fails for every larger u too
-        if use1 and last and not cond1_pair(last, u, cartan):
-            break
-        if use2 and not cond2_step(O, E, low, u, n, m, r):
-            break
+    room = m - O
+    hi = min(lim[last], room)
+    if use2:
+        hi = min(hi, cond2_max_up(O, E, low, n, m, r))
+    for u in range(1, min(hi, room - 1) + 1):
         y = O + u
-        if y == m:
-            v = n - E  # the final right run is forced
-            if not use1 or cond1_pair(u, v, cartan):
-                yield u, v, None
-            break
         # stay weakly above the diagonal, and leave a right step for later
-        vmax = min(y * n // m - E, n - E - 1)
+        vmax = min(y * n // m - E, n - E - 1, lim[u])
         next_low = cond2_low(low, O, E, u, r) if use2 else low
         for v in range(1, vmax + 1):
-            if use1 and not cond1_pair(u, v, cartan):
-                break  # and for every larger v
             yield u, v, (y, E + v, v if use1 else 0, next_low)
+    if hi == room and n - E <= lim[room]:
+        yield room, n - E, None  # the final right run is forced
 
 
 def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
     """Number of paths to (n, m) passing the filter, by half-steps in order of O."""
     r = cartan.r
-    use1 = level is not FilterLevel.DYCK
-    use2 = level is FilterLevel.COND2
-    size = n + m
     # lim[a]: the longest run that may follow a run of a
-    lim = cond1_limits(size, r) if use1 else [size] * (size + 1)
+    lim, use2 = _run_limits(level, n + m, r)
     # top[E]: a later cond2 test, at E' >= E right steps, places an up
     # run with O' + u <= m, so it passes whenever low >= top[E'].  top
     # falls with E when r*n >= m, so all lows at or above top[E] share
@@ -242,32 +226,41 @@ def _count(n: int, m: int, cartan: Rank2Cartan, level: FilterLevel) -> int:
 class _Walk:
     """A depth-first walk over the exact search states, memoized on the state.
 
-    count takes each state's number of completions and, for a listing,
-    keeps each live state's successors; paths then builds the listing
-    from them, one shared list of suffixes per live state.  The memos
-    live on this object, not in closures of recursive nested functions,
-    so they go when the walk does and wait for no cyclic garbage
-    collection.
+    The walk runs when the object is made, and total is its count from
+    the start.  count takes each state's number of completions and, for
+    a listing, keeps each live state's successors; words then builds the
+    listing from them, one shared list of suffix words per live state.
+    The memos live on this object, not in closures of recursive nested
+    functions, so they go when the walk does and wait for no cyclic
+    garbage collection.
     """
 
-    def __init__(self, n: int, m: int, cartan: Rank2Cartan, level: FilterLevel, listing: bool):
-        self.n, self.m, self.cartan, self.level = n, m, cartan, level
+    def __init__(self, weight, cartan: Rank2Cartan, level: FilterLevel, listing: bool):
+        n, m = _check_endpoint(weight)
+        check_bound_height(n, m)  # bounds the recursion depth as well
+        self.n, self.m, self.r = n, m, cartan.r
+        self.lim, self.use2 = _run_limits(level, n + m, cartan.r)
+        self.use1 = level is not FilterLevel.DYCK
         self.listing = listing
         self.counts: dict[State, int] = {}
         # live[state], kept only for a listing: the (u, v, next state)
         # that lead to at least one completion
         self.live: dict[State, list[tuple[int, int, Optional[State]]]] = {}
-        self.suffixes: dict[State, list[Path]] = {}
+        self.suffixes: dict[State, list[str]] = {}
+        # no right run before the first pair, and m as the min of f makes
+        # the first cond2 step hold
+        self.start = (0, 0, 0, m)
+        self.total = self.count(self.start)
 
     def count(self, state: State) -> int:
-        """Number of completions of the state, each state's successors tested once."""
+        """Number of completions of the state, each state's successors walked once."""
         got = self.counts.get(state)
         if got is not None:
             return got
         n, m = self.n, self.m
         ways = 0
         nexts = []
-        for u, v, succ in _successors(state, n, m, self.cartan, self.level):
+        for u, v, succ in _successors(state, n, m, self.r, self.lim, self.use1, self.use2):
             w = 1 if succ is None else self.count(succ)
             if w:
                 ways += w
@@ -285,70 +278,38 @@ class _Walk:
             self.live[state] = nexts
         return ways
 
-    def paths(self, state: State, piece: Callable[[int, int], Path]) -> list[Path]:
-        """The paths that complete a live state, in depth-first order.
+    def words(self, state: State) -> list[str]:
+        """The words that complete a live state, in depth-first order.
 
-        Each run pair becomes piece(u, v), and a path is the sum of its
-        pieces: a run tuple or a word.  Each live state's list is built
-        once and shared by every prefix that reaches it, so a walk lists
-        with one piece only.
+        Each run pair (u, v) becomes "1"*u + "0"*v ahead of each of its
+        successor's suffix words.  Each live state's list is built once
+        and shared by every prefix that reaches it, so no word is built
+        from its runs.
         """
         got = self.suffixes.get(state)
         if got is None:
             got = []
             for u, v, succ in self.live[state]:
-                head = piece(u, v)
+                head = "1" * u + "0" * v
                 if succ is None:
                     got.append(head)
                 else:
-                    got.extend([head + rest for rest in self.paths(succ, piece)])
+                    got.extend([head + rest for rest in self.words(succ)])
             self.suffixes[state] = got
         return got
 
 
-def _run_pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v)
-
-
-def _letters(u: int, v: int) -> str:
-    return "1" * u + "0" * v
-
-
-def _walk(weight, cartan: Rank2Cartan, level: FilterLevel, listing: bool) -> tuple[_Walk, int]:
-    """A walk of the weight's exact states and its count from the start."""
-    n, m = _check_endpoint(weight)
-    check_bound_height(n, m)  # bounds the recursion depth as well
-    walk = _Walk(n, m, cartan, level, listing)
-    return walk, walk.count(_start(m))
-
-
-def enumerate_dyck(
-    weight,
-    cartan: Rank2Cartan,
-    level: FilterLevel = FilterLevel.DYCK,
-    visit: Optional[Visitor] = None,
-) -> int:
+def enumerate_dyck(weight, cartan: Rank2Cartan, level: FilterLevel = FilterLevel.DYCK) -> int:
     """Count the run sequences of the given weight passing the filter.
 
-    Returns the count.  The walk memoizes on the exact search state
-    (O, E, last run, running min): each state's successors are tested
-    once and its number of completions is kept, so the time grows
-    polynomially in the height, not with the number of paths.  A root
-    above MAX_BOUND_HEIGHT, or one whose walk would keep more than
-    MAX_WALK_STATES states, is refused with one ValueError.
-
-    The visitor, when given, receives each complete run tuple once, in
-    depth-first order: runs ascending, the up run before the right run.
-    The count walk then also keeps each live state's successors, and
-    refuses a listing of more than MAX_LISTED_PATHS paths before the
-    first visit.  Each live state's run-tuple suffixes are built once
-    and shared by every prefix that reaches the state.
+    The walk memoizes on the exact search state (O, E, last run, running
+    min): each state's successors are walked once and its number of
+    completions is kept, so the time grows polynomially in the height,
+    not with the number of paths.  A level that is not a FilterLevel, a
+    root above MAX_BOUND_HEIGHT, and one whose walk would keep more than
+    MAX_WALK_STATES states are each refused with one ValueError.
     """
-    walk, total = _walk(weight, cartan, level, listing=visit is not None)
-    if visit is not None and total:
-        for runs in walk.paths(_start(walk.m), _run_pair):
-            visit(runs)
-    return total
+    return _Walk(weight, cartan, level, listing=False).total
 
 
 def dyck_words(
@@ -356,14 +317,14 @@ def dyck_words(
 ) -> list[str]:
     """The paths of the given weight passing the filter, as binary words.
 
-    The same walk as enumerate_dyck's with a visitor, and the same
-    refusals, in the same depth-first order; [] when no path passes.
-    Each live state's suffix words are built once, as "1"*u + "0"*v
-    ahead of each live successor's suffix words, and shared by every
-    prefix that reaches the state, so no word is built from its runs.
+    The same walk as enumerate_dyck's, with its refusals, in depth-first
+    order: runs ascending, the up run before the right run; [] when no
+    path passes.  The count walk also keeps each live state's
+    successors, and a listing of more than MAX_LISTED_PATHS paths is
+    refused before the first word is built.
     """
-    walk, total = _walk(weight, cartan, level, listing=True)
-    return walk.paths(_start(walk.m), _letters) if total else []
+    walk = _Walk(weight, cartan, level, listing=True)
+    return walk.words(walk.start) if walk.total else []
 
 
 def _require_bound_weight(weight, cartan: Rank2Cartan) -> tuple[int, int]:

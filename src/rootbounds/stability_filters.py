@@ -22,6 +22,12 @@ class FilterLevel(enum.Enum):
     COND2 = "cond2"
 
 
+def check_level(level) -> None:
+    """Refuse a level that is not a FilterLevel, such as "dyck", with one ValueError."""
+    if not isinstance(level, FilterLevel):
+        raise ValueError(f"the filter level must be a FilterLevel, got {level!r}")
+
+
 def cond1_pair(a: int, b: int, cartan: Rank2Cartan) -> bool:
     """b/a <= (r + sqrt(r^2-4))/2, done exactly.
 
@@ -110,6 +116,7 @@ def cond2(runs: Sequence[int], cartan: Rank2Cartan) -> bool:
 
 def passes_filters(runs: Sequence[int], cartan: Rank2Cartan, level: FilterLevel) -> bool:
     """Cumulative filter: COND1 implies the Dyck test, COND2 implies both."""
+    check_level(level)
     if not is_dyck(runs):
         return False
     if level is FilterLevel.DYCK:

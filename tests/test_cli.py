@@ -14,11 +14,12 @@ from rootbounds import (
     FilterLevel,
     Rank2Cartan,
     counting,
-    enumerate_dyck,
+    dyck_words,
     kostant_count,
     multiplicity,
     peterson,
     runs_to_word,
+    word_to_runs,
 )
 from rootbounds.cli import THREADS_ENV, build_parser, main
 from rootbounds.counting import MAX_BOUND_HEIGHT, MAX_LISTED_PATHS, bound1, bound2, bound_report
@@ -143,9 +144,8 @@ def test_listing_is_checked_against_the_dp(capsys, monkeypatch):
 
 
 def test_listing_matches_the_words_of_the_visited_runs(capsys):
-    # the words made one by one from enumerate_dyck's run tuples
-    runs = []
-    enumerate_dyck((11, 8), Rank2Cartan(3), FilterLevel.COND2, visit=runs.append)
+    # the words made one by one from the listing's run tuples
+    runs = map(word_to_runs, dyck_words((11, 8), Rank2Cartan(3), FilterLevel.COND2))
     expected = sorted(runs_to_word(r) for r in runs)
     code, out, err = run_cli(capsys, "bound", "--root", "11,8", "--theorem", "2", "--list")
     assert (code, err) == (0, "")
@@ -937,3 +937,15 @@ def test_commands_call_the_cli_module_attributes(capsys, monkeypatch):
     for argv in (_estimate_argv(), ("stats", "--k", "3", "--distance", "1", "--samples", "10")):
         assert run_cli(capsys, *argv) == (0, "patched\n", "")
     assert calls == ["estimate_bound", "visits_statistic"]
+
+
+def test_bench_patch_points_exist(monkeypatch):
+    # bench/tracing.py replaces module attributes of rootbounds; one that a
+    # cleanup of src/ drops makes patched() raise AttributeError
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "bench"))
+    import tracing
+
+    bound = rootbounds.cli.bound_report
+    with tracing.Tracer().patched():
+        assert rootbounds.cli.bound_report is not bound
+    assert rootbounds.cli.bound_report is bound

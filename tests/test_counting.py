@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -19,13 +20,12 @@ from rootbounds import (
     passes_filters,
     runs_to_word,
     weight_of,
+    word_to_runs,
 )
 
 
 def _words_at(weight, cartan, level):
-    found = []
-    enumerate_dyck(weight, cartan, level, visit=lambda runs: found.append(runs_to_word(runs)))
-    return sorted(found)
+    return sorted(dyck_words(weight, cartan, level))
 
 
 def test_enumerate_visits_exactly_the_dyck_paths(cartan3):
@@ -51,14 +51,15 @@ def test_formula_matches_enumeration(cartan3):
 
 
 def test_pruned_equals_filter_at_leaf():
-    for r in (3, 4):
+    # holds the walk's run limits to passes_filters, which tests every
+    # run pair with cond1_pair and cond2_step
+    for r in (3, 4, 5, 2**62):
         cartan = Rank2Cartan(r)
-        for total in range(2, 13):
+        for total in range(2, 17):
             for n in range(1, total):
                 m = total - n
+                leaves = [word_to_runs(w) for w in dyck_words((n, m), cartan, FilterLevel.DYCK)]
                 for level in (FilterLevel.COND1, FilterLevel.COND2):
-                    leaves = []
-                    enumerate_dyck((n, m), cartan, FilterLevel.DYCK, visit=leaves.append)
                     unpruned = sum(1 for runs in leaves if passes_filters(runs, cartan, level))
                     assert enumerate_dyck((n, m), cartan, level) == unpruned, (n, m, level)
 
@@ -232,19 +233,25 @@ def test_unique_survivor_above_multiplicity(table3, cartan3):
     assert bound2((16, 15), cartan3) == mult + 1
 
 
+def _reference_successors(state, n, m, cartan, level):
+    lim, use2 = counting._run_limits(level, n + m, cartan.r)
+    use1 = level is not FilterLevel.DYCK
+    return counting._successors(state, n, m, cartan.r, lim, use1, use2)
+
+
 def _reference_runs(weight, cartan, level):
     """Every passing run tuple, depth first over _successors with no memo."""
     n, m = weight
     found = []
 
     def walk(state, prefix):
-        for u, v, succ in counting._successors(state, n, m, cartan, level):
+        for u, v, succ in _reference_successors(state, n, m, cartan, level):
             if succ is None:
                 found.append(prefix + (u, v))
             else:
                 walk(succ, prefix + (u, v))
 
-    walk(counting._start(m), ())
+    walk((0, 0, 0, m), ())  # the walk's start state
     return found
 
 
@@ -256,49 +263,25 @@ def _reference_states(weight, cartan, level):
     def walk(state):
         if state not in seen:
             seen.add(state)
-            for _, _, succ in counting._successors(state, n, m, cartan, level):
+            for _, _, succ in _reference_successors(state, n, m, cartan, level):
                 if succ is not None:
                     walk(succ)
 
-    walk(counting._start(m))
+    walk((0, 0, 0, m))
     return seen
 
 
-def test_visitor_matches_plain_depth_first_walk():
-    for r in (3, 4):
-        cartan = Rank2Cartan(r)
-        for total in range(2, 17):
-            for n in range(1, total):
-                m = total - n
-                if gcd(n, m) != 1:
-                    continue
-                for level in FilterLevel:
-                    visited = []
-                    count = enumerate_dyck((n, m), cartan, level, visit=visited.append)
-                    expected = _reference_runs((n, m), cartan, level)
-                    assert visited == expected, (r, n, m, level)
-                    assert count == len(expected), (r, n, m, level)
-
-
-def _no_visit(runs):
-    raise AssertionError("visited a path")
+def _reference_words(weight, cartan, level):
+    """The plain walk's run tuples made words one by one, in walking order."""
+    return [runs_to_word(runs) for runs in _reference_runs(weight, cartan, level)]
 
 
 def _no_walk(*args):
     raise AssertionError("walk started")
 
 
-def test_listing_ceiling_refuses_before_the_first_visit(cartan3, monkeypatch):
-    # (11,8) has 720 paths under cond2
-    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 720)
-    visited = []
-    assert enumerate_dyck((11, 8), cartan3, FilterLevel.COND2, visit=visited.append) == 720
-    assert len(visited) == 720
-    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 719)
-    with pytest.raises(ValueError, match=r"^listing stops at 719 paths; \(11, 8\) has more$"):
-        enumerate_dyck((11, 8), cartan3, FilterLevel.COND2, visit=_no_visit)
-    # the count alone is not a listing
-    assert enumerate_dyck((11, 8), cartan3, FilterLevel.COND2) == 720
+def _no_words(*args):
+    raise AssertionError("a word was built")
 
 
 @pytest.mark.parametrize("level", list(FilterLevel), ids=str)
@@ -311,8 +294,6 @@ def test_state_ceiling_admits_its_own_count(cartan3, monkeypatch, level):
     message = rf"^enumeration stops at {states - 1} search states; \(11, 8\) needs more$"
     with pytest.raises(ValueError, match=message):
         enumerate_dyck((11, 8), cartan3, level)
-    with pytest.raises(ValueError, match=message):
-        enumerate_dyck((11, 8), cartan3, level, visit=_no_visit)
 
 
 def test_enumeration_refuses_a_root_above_the_bound_height(cartan3, monkeypatch):
@@ -322,31 +303,26 @@ def test_enumeration_refuses_a_root_above_the_bound_height(cartan3, monkeypatch)
         enumerate_dyck((1001, 1000), cartan3, FilterLevel.DYCK)
 
 
-def _visited_words(weight, cartan, level):
-    """The visitor's run tuples made words one by one, in visiting order."""
-    runs = []
-    enumerate_dyck(weight, cartan, level, visit=runs.append)
-    return [runs_to_word(r) for r in runs]
-
-
 def test_words_match_the_visited_runs():
+    # the memoized walk's words and count against the plain depth-first
+    # walk's run tuples, made words one by one
     for r in (3, 4, 5):
         cartan = Rank2Cartan(r)
-        for total in range(2, 21):
+        for total in range(2, 17):
             for n in range(1, total):
                 m = total - n
                 if gcd(n, m) != 1:
                     continue
                 for level in FilterLevel:
-                    expected = _visited_words((n, m), cartan, level)
-                    words = dyck_words((n, m), cartan, level)
-                    assert words == expected, (r, n, m, level)
+                    expected = _reference_words((n, m), cartan, level)
+                    assert dyck_words((n, m), cartan, level) == expected, (r, n, m, level)
+                    assert enumerate_dyck((n, m), cartan, level) == len(expected), (r, n, m, level)
 
 
 def test_words_of_a_large_listing(cartan3):
     words = dyck_words((12, 13), cartan3, FilterLevel.COND1)
     assert len(words) == len(set(words)) == 45751
-    assert words == _visited_words((12, 13), cartan3, FilterLevel.COND1)
+    assert words == _reference_words((12, 13), cartan3, FilterLevel.COND1)
 
 
 def test_words_are_empty_when_no_path_passes(cartan3):
@@ -354,14 +330,16 @@ def test_words_are_empty_when_no_path_passes(cartan3):
     assert dyck_words((7, 1), cartan3, FilterLevel.COND1) == []
 
 
-# dyck_words refuses with enumerate_dyck's messages, tested above
 def test_words_refuse_past_the_listing_ceiling(cartan3, monkeypatch):
     # (11,8) has 720 paths under cond2
     monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 720)
     assert len(dyck_words((11, 8), cartan3, FilterLevel.COND2)) == 720
     monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 719)
+    monkeypatch.setattr(counting._Walk, "words", _no_words)
     with pytest.raises(ValueError, match=r"^listing stops at 719 paths; \(11, 8\) has more$"):
         dyck_words((11, 8), cartan3, FilterLevel.COND2)
+    # the count alone is not a listing
+    assert enumerate_dyck((11, 8), cartan3, FilterLevel.COND2) == 720
 
 
 def test_words_refuse_past_the_state_ceiling(cartan3, monkeypatch):
@@ -381,3 +359,38 @@ def test_words_refuse_bad_endpoints_before_the_walk(cartan3, monkeypatch):
         dyck_words((1001, 1000), cartan3, FilterLevel.DYCK)
     with pytest.raises(ValueError, match="^enumeration needs both coordinates positive$"):
         dyck_words((0, 3), cartan3, FilterLevel.DYCK)
+
+
+BAD_LEVELS = ["dyck", "cond1", "cond2", None, 2]
+
+
+def _refused(level):
+    message = rf"^the filter level must be a FilterLevel, got {re.escape(repr(level))}$"
+    return pytest.raises(ValueError, match=message)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS, ids=repr)
+def test_enumeration_refuses_a_level_that_is_not_a_filter_level(cartan3, monkeypatch, level):
+    # "dyck" once counted (11,8) under cond1: 723 paths, not the 3978 Dyck paths
+    monkeypatch.setattr(counting, "_successors", _no_walk)
+    with _refused(level):
+        enumerate_dyck((11, 8), cartan3, level)
+    with _refused(level):
+        counting._count(11, 8, cartan3, level)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS, ids=repr)
+def test_words_refuse_a_level_that_is_not_a_filter_level(cartan3, monkeypatch, level):
+    # "cond2" once listed cond1's 723 words, not cond2's 720
+    monkeypatch.setattr(counting, "_successors", _no_walk)
+    with _refused(level):
+        dyck_words((11, 8), cartan3, level)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS, ids=repr)
+def test_passes_filters_refuses_a_level_that_is_not_a_filter_level(cartan3, level):
+    # (2,1,1,3) is a Dyck path that fails cond1, which "dyck" once applied
+    assert passes_filters((2, 1, 1, 3), cartan3, FilterLevel.DYCK)
+    assert not passes_filters((2, 1, 1, 3), cartan3, FilterLevel.COND1)
+    with _refused(level):
+        passes_filters((2, 1, 1, 3), cartan3, level)

@@ -10,8 +10,9 @@ from rootbounds import (
     cond1,
     cond1_pair,
     cond2,
-    enumerate_dyck,
+    dyck_words,
     passes_filters,
+    word_to_runs,
 )
 from rootbounds.stability_filters import cond1_limit, cond2_max_up, cond2_step
 
@@ -81,9 +82,8 @@ def test_cond2_matches_pairwise_reference():
                 m = total - n
                 if gcd(n, m) != 1:
                     continue
-                paths = []
-                enumerate_dyck((n, m), cartan, FilterLevel.DYCK, visit=paths.append)
-                for runs in paths:
+                for word in dyck_words((n, m), cartan, FilterLevel.DYCK):
+                    runs = word_to_runs(word)
                     assert cond2(runs, cartan) == _cond2_pairwise(runs, cartan), (r, runs)
 
 

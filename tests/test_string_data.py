@@ -14,7 +14,7 @@ from rootbounds import (
     cond1,
     cond2,
     count_valid_string_data,
-    enumerate_dyck,
+    dyck_words,
     is_dyck,
     kostant_count,
     littelmann_roots,
@@ -255,9 +255,8 @@ def test_cond1_dyck_paths_are_valid_string_data(cartan3):
     for total in range(2, 15):
         for n in range(1, total):
             m = total - n
-            collected = []
-            enumerate_dyck((n, m), cartan3, FilterLevel.COND1, visit=collected.append)
-            for runs in collected:
+            for word in dyck_words((n, m), cartan3, FilterLevel.COND1):
+                runs = word_to_runs(word)
                 assert littelmann_valid(runs, cartan3), runs
 
 
