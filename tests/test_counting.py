@@ -303,9 +303,26 @@ def test_enumeration_refuses_a_root_above_the_bound_height(cartan3, monkeypatch)
         enumerate_dyck((1001, 1000), cartan3, FilterLevel.DYCK)
 
 
+def test_visitor_matches_plain_depth_first_walk():
+    # the memoized walk's listing, read back as run tuples, and its count
+    # against the plain depth-first walk
+    for r in (3, 4):
+        cartan = Rank2Cartan(r)
+        for total in range(2, 17):
+            for n in range(1, total):
+                m = total - n
+                if gcd(n, m) != 1:
+                    continue
+                for level in FilterLevel:
+                    listed = [word_to_runs(w) for w in dyck_words((n, m), cartan, level)]
+                    expected = _reference_runs((n, m), cartan, level)
+                    assert listed == expected, (r, n, m, level)
+                    assert enumerate_dyck((n, m), cartan, level) == len(expected), (r, n, m, level)
+
+
 def test_words_match_the_visited_runs():
-    # the memoized walk's words and count against the plain depth-first
-    # walk's run tuples, made words one by one
+    # the memoized walk's words against the plain depth-first walk's run
+    # tuples, made words one by one
     for r in (3, 4, 5):
         cartan = Rank2Cartan(r)
         for total in range(2, 17):
@@ -316,7 +333,6 @@ def test_words_match_the_visited_runs():
                 for level in FilterLevel:
                     expected = _reference_words((n, m), cartan, level)
                     assert dyck_words((n, m), cartan, level) == expected, (r, n, m, level)
-                    assert enumerate_dyck((n, m), cartan, level) == len(expected), (r, n, m, level)
 
 
 def test_words_of_a_large_listing(cartan3):
@@ -330,7 +346,7 @@ def test_words_are_empty_when_no_path_passes(cartan3):
     assert dyck_words((7, 1), cartan3, FilterLevel.COND1) == []
 
 
-def test_words_refuse_past_the_listing_ceiling(cartan3, monkeypatch):
+def test_listing_ceiling_refuses_before_the_first_visit(cartan3, monkeypatch):
     # (11,8) has 720 paths under cond2
     monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 720)
     assert len(dyck_words((11, 8), cartan3, FilterLevel.COND2)) == 720
@@ -340,6 +356,15 @@ def test_words_refuse_past_the_listing_ceiling(cartan3, monkeypatch):
         dyck_words((11, 8), cartan3, FilterLevel.COND2)
     # the count alone is not a listing
     assert enumerate_dyck((11, 8), cartan3, FilterLevel.COND2) == 720
+
+
+def test_words_refuse_past_the_listing_ceiling(cartan3, monkeypatch):
+    # (11,8) has 720 paths under cond2
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 720)
+    assert len(dyck_words((11, 8), cartan3, FilterLevel.COND2)) == 720
+    monkeypatch.setattr(counting, "MAX_LISTED_PATHS", 719)
+    with pytest.raises(ValueError, match=r"^listing stops at 719 paths; \(11, 8\) has more$"):
+        dyck_words((11, 8), cartan3, FilterLevel.COND2)
 
 
 def test_words_refuse_past_the_state_ceiling(cartan3, monkeypatch):
