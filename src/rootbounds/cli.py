@@ -1,10 +1,13 @@
 """Command-line surface: exact multiplicities, exact and estimated bounds,
 word diagnostics, and CSV accuracy tables.
 
-All results go to stdout as JSON (or CSV for tables); diagnostics and
-errors go to stderr.  Counts, seeds and chunk sizes go out as decimal
-strings, so no double-precision JSON reader rounds them; r, the root
-coordinates, theorem, k and distance go out as JSON numbers of any size.
+Every result but table's CSV rows goes to stdout through _emit, as
+compact sorted JSON or one CSV row; diagnostics and errors go to stderr.
+Counts, seeds and chunk sizes go out as decimal strings, so no
+double-precision JSON reader rounds them; r, the root coordinates,
+theorem, k and distance go out as JSON numbers of any size.  main
+returns every exit code and never raises SystemExit: 0, or 2 after one
+"error:" line on stderr for a bad command line or a refused input.
 
 Only estimate and stats load numpy: estimate_bound and visits_statistic
 come from montecarlo.py, which imports the numpy sampler only when one of
@@ -67,21 +70,16 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _threads_arg(text: str):
-    # A value that is not an integer is kept as text for cmd_estimate to
-    # reject, so that it gets main's one-line error, not argparse's usage.
+def _parse_threads(text: str) -> int:
     try:
-        return int(text)
+        threads = int(text)
+        if threads >= 1:
+            return threads
     except ValueError:
-        return text
-
-
-def _check_threads(threads) -> int:
-    if not isinstance(threads, int) or threads < 1:
-        raise ValueError(
-            f"--threads (default ${THREADS_ENV}) must be a positive integer, got {threads!r}"
-        )
-    return threads
+        threads = text
+    raise argparse.ArgumentTypeError(
+        f"must be a positive integer (default ${THREADS_ENV}), got {threads!r}"
+    )
 
 
 def _theorem_level(theorem: int) -> FilterLevel:
@@ -155,10 +153,24 @@ def cmd_estimate(args) -> int:
         _theorem_level(args.theorem),
         samples=args.samples,
         seed=args.seed,
-        threads=_check_threads(args.threads),
+        threads=args.threads,
         chunk=args.chunk,
     )
-    print(report.to_json())
+    _emit(
+        {
+            "root": list(report.weight),
+            "r": report.r,
+            "filter": report.filter.value,
+            "samples": str(report.samples),
+            "hits": str(report.hits),
+            "dyck_total": str(report.dyck_total),
+            "estimate": report.estimate,
+            "std_error": report.std_error,
+            "seed": str(report.seed),
+            "chunk": str(report.chunk),
+        },
+        "json",
+    )
     return 0
 
 
@@ -239,7 +251,17 @@ def cmd_stats(args) -> int:
     report = visits_statistic(
         args.k, args.distance, samples=args.samples, seed=args.seed, chunk=args.chunk
     )
-    print(report.to_json())
+    _emit(
+        {
+            "k": report.k,
+            "distance": report.distance,
+            "samples": str(report.samples),
+            "seed": str(report.seed),
+            "mean": report.mean,
+            "std_error": report.std_error,
+        },
+        "json",
+    )
     return 0
 
 
@@ -283,7 +305,7 @@ def _add_estimate(sub) -> None:
     p.add_argument("--seed", type=_parse_seed, required=True, help="decimal or hex")
     p.add_argument(
         "--threads",
-        type=_threads_arg,
+        type=_parse_threads,
         default=os.environ.get(THREADS_ENV, "1"),
         help=f"worker threads, at most {MAX_THREADS} (default ${THREADS_ENV} or 1); "
         "does not affect results",
@@ -369,7 +391,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # error, so it gets them all.  Each call builds its parser anew: the
     # --threads default reads the environment at that moment.
     commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    args = _parser(commands).parse_args(argv)
+    try:
+        args = _parser(commands).parse_args(argv)
+    except SystemExit as exc:
+        # argparse leaves by SystemExit: 0 after its help, 2 after its one error line
+        return exc.code
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

@@ -1,5 +1,6 @@
 """Monte-Carlo estimates of filtered path counts and the diagonal-visit
-statistic: their input checks, limits and reports.
+statistic: their input checks, limits and reports.  The reports are
+plain values; the CLI writes them as JSON like every other result.
 
 Each entry point checks all its inputs, then imports sampler.py, the one
 module that imports numpy, to run its chunks; so neither an import of
@@ -8,7 +9,6 @@ this module nor a refused call loads numpy.
 
 # no postponed annotations here: NamedTuple would compile each field's
 # annotation string, a third of this module's import time
-import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from numbers import Integral
@@ -44,23 +44,6 @@ class EstimateReport(NamedTuple):
     seed: int
     chunk: int
 
-    def to_json(self) -> str:
-        # every other integer goes out as a decimal string, so no parser
-        # rounds one; the root coordinates and r are JSON numbers, as given
-        payload = {
-            "root": [self.weight[0], self.weight[1]],
-            "r": self.r,
-            "filter": self.filter.value,
-            "samples": str(self.samples),
-            "hits": str(self.hits),
-            "dyck_total": str(self.dyck_total),
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "seed": str(self.seed),
-            "chunk": str(self.chunk),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
 
 class VisitsReport(NamedTuple):
     k: int
@@ -69,17 +52,6 @@ class VisitsReport(NamedTuple):
     seed: int
     mean: str
     std_error: str
-
-    def to_json(self) -> str:
-        payload = {
-            "k": self.k,
-            "distance": self.distance,
-            "samples": str(self.samples),
-            "seed": str(self.seed),
-            "mean": self.mean,
-            "std_error": self.std_error,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _sig6(x: Fraction) -> str:

@@ -49,9 +49,9 @@ from .core_lattice import Rank2Cartan, Weight, as_weight
 # any.  On a 2-vCPU Xeon VM the box up to (1023,1023), 2^20 cells, took
 # 0.8-1.2 s and 122 MB peak RSS at r = 3 (0.6-0.9 s and 182 MB at
 # r = 2^62), and (801,800) 0.4-0.6 s and 71 MB.  A thin box fills along
-# its long side: at r = 3 the one row up to (1,524287) took 1.0 s and
-# 43 MB, the tall box up to (524287,1) 1.1-1.2 s and 111 MB, and
-# (30000,1) 0.06-0.1 s.
+# its long side: at r = 3 the one row up to (1,524287) took 0.31 s and
+# 43 MB, the tall box up to (524287,1) 0.41-0.44 s and 111 MB, and
+# (30000,1) 0.02 s.
 MAX_CELLS = 1 << 20
 
 
@@ -109,15 +109,14 @@ class MultiplicityTable:
         M = [[0] * (cols + 1) for _ in F]
         # rest = h mult: -F less the terms h(gamma/d) mult(gamma/d) of the
         # divisors d > 1 of gamma = (x, y).  gcd(0, y) = y, so a full row 0
-        # reads itself: it is settled a cell at a time, each cell passing
-        # its term on to its multiples.  In a half fill row 0 holds only
-        # the origin, and its other cells mirror column 0.
+        # reads itself, but its one root is alpha_1 = (0, 1), of mult 1:
+        # _settle checks (0, 1) before any later cell, each of which then
+        # has the one term h(0, 1) mult(0, 1) = 1.  In a half fill row 0
+        # holds only the origin, and its other cells mirror column 0.
         if not square:
             rest = [-f for f in F[0]]
-            for z in range(1, cols + 1):
-                _settle(M[0], 0, z, rest[z : z + 1], self.r, flip)
-                term = z * M[0][z]
-                rest[2 * z :: z] = [v - term for v in rest[2 * z :: z]]
+            rest[2:] = [v - 1 for v in rest[2:]]
+            _settle(M[0], 0, 1, rest[1:], self.r, flip)
         # divisors[x]: the divisors d > 1 of x, ascending, sieved once
         divisors = [[] for _ in F]
         for d in range(2, rows + 1):

@@ -24,7 +24,13 @@ from rootbounds import (
 from rootbounds.cli import THREADS_ENV, build_parser, main
 from rootbounds.counting import MAX_BOUND_HEIGHT, MAX_LISTED_PATHS, bound1, bound2, bound_report
 from rootbounds.peterson import MAX_CELLS, MultiplicityTable
-from rootbounds.montecarlo import MAX_CHUNKS, MAX_LETTERS, MAX_THREADS
+from rootbounds.montecarlo import (
+    MAX_CHUNKS,
+    MAX_LETTERS,
+    MAX_THREADS,
+    EstimateReport,
+    VisitsReport,
+)
 
 DATA = Path(__file__).parent / "data"
 PACKAGE = Path(rootbounds.cli.__file__).parent
@@ -450,13 +456,11 @@ def test_negative_seed_is_refused(capsys, monkeypatch, argv):
 
     monkeypatch.setattr("rootbounds.sampler._chunk_rng", no_work)
     monkeypatch.setattr("rootbounds.montecarlo.dyck_count", no_work)
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: argument --seed: ")
-    assert captured.err.count("\n") == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: argument --seed: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, box", [
@@ -550,23 +554,20 @@ def test_kostant_count_refuses_runaway_box(monkeypatch):
 
 
 def test_bad_int_option_is_one_error_line(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--root", "4,3", "--theorem", "1", "--samples", "abc", "--seed", "0"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert captured.err == "error: argument --samples: invalid int value: 'abc'\n"
+    code, out, err = run_cli(
+        capsys, "estimate", "--root", "4,3", "--theorem", "1", "--samples", "abc", "--seed", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: argument --samples: invalid int value: 'abc'\n"
 
 
 def test_estimate_has_no_format_option(capsys):
     # estimate always prints JSON, so --format csv was taken and ignored
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--root", "4,3", "--theorem", "1", "--samples", "10", "--seed", "0",
-              "--format", "csv"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert captured.err == "error: unrecognized arguments: --format csv\n"
+    code, out, err = run_cli(capsys, *_estimate_argv("--format", "csv"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unrecognized arguments: --format csv\n"
 
 
 def test_table_refuses_roots_under_a_family(capsys, monkeypatch):
@@ -657,8 +658,9 @@ def test_main_parses_as_the_full_parser(capsys, monkeypatch, parsed, argv):
     monkeypatch.setenv("COLUMNS", "80")
 
     def via_main(argv):
-        assert main(argv) == 0
-        return parsed.pop()
+        # main returns the exit code that the full parser raises
+        code = main(argv)
+        return parsed.pop() if parsed else ("exit", code)
 
     full = _parse_route(capsys, lambda argv: build_parser().parse_args(argv), argv)
     assert _parse_route(capsys, via_main, argv) == full
@@ -694,9 +696,43 @@ def test_main_reads_sys_argv(capsys, monkeypatch, parsed, added):
 
 @pytest.mark.parametrize("argv", [(), ("-h",), ("nope",)], ids=_argv_id)
 def test_help_and_unknown_commands_build_every_parser(capsys, parsed, added, argv):
-    with pytest.raises(SystemExit):
-        main(list(argv))
+    assert main(list(argv)) == (0 if argv == ("-h",) else 2)
     assert added == list(COMMANDS)
+
+
+# the refusals of the tests above, each with the $ROOTBOUNDS_THREADS it runs under
+REFUSALS = [
+    *((None, _estimate_argv("--threads", bad)) for bad in ("0", "-2", "x", str(MAX_THREADS + 1))),
+    ("abc", _estimate_argv()),
+    ("0", _estimate_argv()),
+    (None, _estimate_argv()[:-2] + ("--seed", "-1")),
+    (None, _estimate_argv()[:-4] + ("--samples", "abc", "--seed", "0")),
+    (None, _estimate_argv("--format", "csv")),
+    (None, ("stats", "--k", "3", "--distance", "1", "--samples", "10", "--chunk", "0")),
+]
+CONTRACT = [(None, argv) for argv in PARSE_CORPUS] + REFUSALS
+
+
+@pytest.mark.parametrize("env, argv", CONTRACT, ids=[
+    _argv_id(argv) + (f" ${THREADS_ENV}={env}" if env else "") for env, argv in CONTRACT
+])
+def test_main_is_the_one_way_out(capsys, monkeypatch, env, argv):
+    # main returns 0 or 2 and raises nothing, SystemExit included; a 2
+    # writes nothing to stdout and one error line to stderr
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, env)
+    code, out, err = run_cli(capsys, *argv)
+    if "-h" in argv:
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: rootbounds")
+    elif code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.index("\n") == len(err) - 1
+    else:
+        assert (code, err) == (0, "")
+        assert out
 
 
 def _run_module(*flags_and_argv):
@@ -924,18 +960,26 @@ def test_no_assert_in_the_package():
 def test_commands_call_the_cli_module_attributes(capsys, monkeypatch):
     # bench/tracing.py times the sampler by replacing these two attributes
     calls = []
-
-    class Report:
-        def to_json(self):
-            return "patched"
+    reports = {
+        "estimate_bound": EstimateReport(
+            (4, 3), 3, FilterLevel.COND1, 10, 7, 5, "3.5", "0.724", 0, 65536
+        ),
+        "visits_statistic": VisitsReport(3, 1, 10, 0, "5", "0.2"),
+    }
 
     def fake(name):
-        return lambda *args, **kwargs: calls.append(name) or Report()
+        return lambda *args, **kwargs: calls.append(name) or reports[name]
 
-    for name in ("estimate_bound", "visits_statistic"):
+    for name in reports:
         monkeypatch.setattr(rootbounds.cli, name, fake(name))
-    for argv in (_estimate_argv(), ("stats", "--k", "3", "--distance", "1", "--samples", "10")):
-        assert run_cli(capsys, *argv) == (0, "patched\n", "")
+    assert run_cli(capsys, *_estimate_argv()) == (0, (
+        '{"chunk":"65536","dyck_total":"5","estimate":"3.5","filter":"cond1","hits":"7",'
+        '"r":3,"root":[4,3],"samples":"10","seed":"0","std_error":"0.724"}\n'
+    ), "")
+    stats_argv = ("stats", "--k", "3", "--distance", "1", "--samples", "10")
+    assert run_cli(capsys, *stats_argv) == (
+        0, '{"distance":1,"k":3,"mean":"5","samples":"10","seed":"0","std_error":"0.2"}\n', ""
+    )
     assert calls == ["estimate_bound", "visits_statistic"]
 
 

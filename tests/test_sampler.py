@@ -18,6 +18,7 @@ from rootbounds import (
     word_to_runs,
 )
 from rootbounds import montecarlo, sampler
+from rootbounds.cli import main
 from rootbounds.montecarlo import MAX_CHUNKS, MAX_THREADS, _chunk_sizes, _sig6, _sqrt_sig6
 from rootbounds.sampler import (
     _chunk_rng,
@@ -145,7 +146,7 @@ def test_estimate_deterministic_across_threads(cartan3):
     kwargs = dict(samples=3500, seed=5, chunk=1000)
     one = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=1, **kwargs)
     four = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=4, **kwargs)
-    assert one.to_json() == four.to_json()
+    assert one == four
 
 
 def test_estimate_pool_capped_at_chunk_count(cartan3, serial_pool):
@@ -258,9 +259,10 @@ def test_chunk_memory_is_bounded(job):
     assert big < small + 2**20, (small, big)
 
 
-def test_report_json_shape(cartan3):
-    report = estimate_bound((4, 3), cartan3, FilterLevel.COND2, samples=100, seed=0)
-    payload = json.loads(report.to_json())
+def test_report_json_shape(capsys):
+    argv = ["estimate", "--root", "4,3", "--theorem", "2", "--samples", "100", "--seed", "0"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["root"] == [4, 3]
     assert payload["r"] == 3
     assert payload["filter"] == "cond2"
@@ -338,9 +340,9 @@ def test_visits_argument_errors():
         visits_statistic(k=1, distance=0, samples=0, seed=0)
 
 
-def test_visits_json_shape():
-    report = visits_statistic(k=2, distance=0, samples=50, seed=4)
-    payload = json.loads(report.to_json())
+def test_visits_json_shape(capsys):
+    assert main(["stats", "--k", "2", "--distance", "0", "--samples", "50", "--seed", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["k"] == 2
     assert payload["distance"] == 0
     assert payload["samples"] == "50"
@@ -361,11 +363,13 @@ def test_estimate_pinned_hits(weight, r, level, hits):
     assert report.hits == hits
 
 
-def test_visits_pinned_outputs():
-    report = visits_statistic(k=300, distance=2, samples=20000, seed=3, chunk=16384)
-    assert report.to_json() == (
+def test_visits_pinned_outputs(capsys):
+    argv = ["stats", "--k", "300", "--distance", "2", "--samples", "20000", "--seed", "3",
+            "--chunk", "16384"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
         '{"distance":2,"k":300,"mean":"11.6007","samples":"20000",'
-        '"seed":"3","std_error":"0.0514361"}'
+        '"seed":"3","std_error":"0.0514361"}\n'
     )
     report = visits_statistic(k=100, distance=0, samples=20000, seed=3)
     assert (report.mean, report.std_error) == ("3.9152", "0.0134224")
