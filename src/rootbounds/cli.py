@@ -308,7 +308,7 @@ def _add_estimate(sub) -> None:
         type=_parse_threads,
         default=os.environ.get(THREADS_ENV, "1"),
         help=f"worker threads, at most {MAX_THREADS} (default ${THREADS_ENV} or 1); "
-        "does not affect results",
+        "one worker also starts one draw helper; does not affect results",
     )
     p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK, help="samples per RNG chunk")
     p.set_defaults(fn=cmd_estimate)

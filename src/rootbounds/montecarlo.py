@@ -113,9 +113,13 @@ def estimate_bound(
 
     estimate = (hits / samples) * dyck_total, with the binomial standard
     error sqrt(p(1-p)/samples) * dyck_total; both reported to 6
-    significant digits as decimal strings.  Chunks run on at most
-    min(threads, number of chunks) threads; threads above MAX_THREADS,
-    and more than MAX_CHUNKS chunks, are refused.
+    significant digits as decimal strings.  The chunks run on
+    min(threads, number of chunks) workers.  One worker is the calling
+    thread plus one helper that draws the next sub-batch while the caller
+    counts the last; more workers are a pool of that many threads, each
+    running whole chunks.  The result never depends on the thread count.
+    threads above MAX_THREADS, and more than MAX_CHUNKS chunks, are
+    refused.
     """
     n, m = as_weight(weight)
     _check_seed(seed)

@@ -9,12 +9,18 @@ bit-identical for a given (seed, samples, chunk) at any thread count.
 
 A chunk is drawn from its one generator in consecutive int64 sub-batches
 of at most SUB_BATCH_BYTES, so a chunk's memory stays at a few
-sub-batches whatever its size.  In an estimate, each sub-batch runs the
-whole pipeline before the next is drawn.  The visit statistic draws one
-sub-batch ahead on one helper thread, so at most two are in flight.  The
-rows are those of one permuted call over the whole chunk, and 8-byte
-items take numpy's fast swap path.  Words longer than MAX_LETTERS, whose
-single row would outgrow a sub-batch, are refused.
+sub-batches whatever its size.  One worker is the calling thread plus one
+draw helper (_drawn_ahead): the helper draws the next sub-batch while the
+caller runs the last through its pipeline or count, so at most two are
+in flight.  The visit statistic always runs so, and so does an estimate
+on one thread or of a single chunk.  An estimate on more workers runs
+whole chunks on a pool of that many threads, each of which runs a
+sub-batch through the whole pipeline before it draws the next, and
+starts no helper.  Either way the rows and their order are set by the
+seed and the chunk sizes alone, so no result depends on the thread
+count.  The rows are those of one permuted call over the whole chunk,
+and 8-byte items take numpy's fast swap path.  Words longer than
+MAX_LETTERS, whose single row would outgrow a sub-batch, are refused.
 The draw, Generator.permuted(axis=1), releases the GIL while it
 shuffles, for int64 items as for float64 ones: under numpy 2.4, with the
 switch interval at 1 s, a thread sleeping 1 ms at a time kept waking
@@ -22,8 +28,10 @@ about once a millisecond through a draw, and not once through
 sum(range(...)), which keeps the GIL.  So the draw does not make the
 threads queue.
 
-An estimate chunk is one pipeline: draw, screen, rotate, decode runs,
-cond1, cond2.  Only the draw touches every row at full cost.  The screen
+An estimate sends each sub-batch through one pipeline: draw, then
+screen, rotate, decode runs, cond1, cond2 (_hit_counter).  Only the draw
+touches every row at full cost; at small roots the stages after it take
+about as long, and the helper's next draw hides behind them.  The screen
 marks unrotated words that hold, cyclically, a lone 1 followed by at
 least b1 zeros (b1 the shortest run that cond1_pair rejects after a run
 of 1): they fail cond1 whatever their rotation, since the rotation cuts
@@ -52,8 +60,9 @@ inputs have passed, so nothing here checks them again.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -86,6 +95,26 @@ def _sub_batches(n: int, m: int, seed: int, index: int, size: int) -> Iterator[n
         W = np.tile(base, (min(rows, size - start), 1))
         rng.permuted(W, axis=1, out=W)
         yield W
+
+
+def _drawn_ahead(n: int, m: int, seed: int, sizes) -> Iterator[np.ndarray]:
+    """Every sub-batch of the seeded chunks of these sizes, in order, each drawn one step ahead.
+
+    One helper thread draws the next sub-batch while the caller works on
+    the last: the draw releases the GIL, and only the helper advances the
+    one stream of sub-batches, so the rows and their order are those of
+    the chunks drawn one after another.  The caller closes the generator
+    (contextlib.closing) so that, whichever side raises, leaving the pool
+    waits for the draw in flight and no thread outlives the call.
+    """
+    batches = (
+        W for index, size in enumerate(sizes) for W in _sub_batches(n, m, seed, index, size)
+    )
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, batches, None)
+        while (W := ahead.result()) is not None:
+            ahead = pool.submit(next, batches, None)
+            yield W
 
 
 def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -217,29 +246,45 @@ def _cond1_screen(W: np.ndarray, b1: int) -> np.ndarray:
     return hit.any(axis=1)
 
 
-def _estimate_chunk(args) -> int:
-    n, m, r, level, seed, index, size = args
+def _hit_counter(n: int, m: int, r: int, level: FilterLevel) -> Callable[[np.ndarray], int]:
+    """The function that counts the words of one sub-batch to (n, m) that pass level.
+
+    Each sub-batch runs the pipeline: screen, rotate, decode runs, cond1,
+    cond2.  The screen's b1 and cond1's limit table are made once, here.
+    """
     b1 = _lone_one_limit(Rank2Cartan(r))
     lim = _cond1_table(n + m, r)
-    hits = 0
-    for W in _sub_batches(n, m, seed, index, size):
+
+    def hits(W: np.ndarray) -> int:
         R = _rotate_batch(W[~_cond1_screen(W, b1)], n, m)
         runs, row = _runs(R)
         ok = _cond1_rows(runs, row, lim, len(R))
         if level is FilterLevel.COND2 and ok.any():
             ok = _cond2_rows(runs, row, ok, n, m, r)
-        hits += int(ok.sum())
+        return int(ok.sum())
+
     return hits
 
 
+def _estimate_chunk(args) -> int:
+    n, m, r, level, seed, index, size = args
+    return sum(map(_hit_counter(n, m, r, level), _sub_batches(n, m, seed, index, size)))
+
+
 def count_hits(n: int, m: int, r: int, level: FilterLevel, seed: int, sizes, threads: int) -> int:
-    """The words to (n, m) in the seeded chunks of these sizes that pass level, on <= threads threads."""
-    jobs = [(n, m, r, level, seed, i, s) for i, s in enumerate(sizes)]
-    workers = min(threads, len(jobs))
+    """The words to (n, m) in the seeded chunks of these sizes that pass level.
+
+    With more than one worker (threads and chunks both above 1), each
+    worker thread of a pool runs whole chunks.  One worker is the caller,
+    counting each sub-batch while one helper draws the next.
+    """
+    workers = min(threads, len(sizes))
     if workers > 1:
+        jobs = [(n, m, r, level, seed, i, s) for i, s in enumerate(sizes)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(_estimate_chunk, jobs))
-    return sum(map(_estimate_chunk, jobs))
+    with closing(_drawn_ahead(n, m, seed, sizes)) as batches:
+        return sum(map(_hit_counter(n, m, r, level), batches))
 
 
 def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
@@ -270,22 +315,10 @@ def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
 
 
 def visit_sums(k: int, distance: int, seed: int, sizes) -> tuple[int, int]:
-    """The sum and the sum of squares of the visit counts over the seeded chunks of these sizes.
-
-    One helper thread draws the next sub-batch while this one counts the
-    last: the draw releases the GIL, and only the helper advances the one
-    stream of sub-batches, so the rows and their order are those of the
-    chunks drawn one after another.  Leaving the pool waits for the draw
-    in flight, so no thread outlives the call, whichever side raises.
-    """
-    batches = (
-        W for index, size in enumerate(sizes) for W in _sub_batches(k + 1, k, seed, index, size)
-    )
+    """The sum and the sum of squares of the visit counts over the seeded chunks of these sizes."""
     total = total_sq = 0
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(next, batches, None)
-        while (W := ahead.result()) is not None:
-            ahead = pool.submit(next, batches, None)
+    with closing(_drawn_ahead(k + 1, k, seed, sizes)) as batches:
+        for W in batches:
             counts = _visit_counts(W, distance)
             total += int(counts.sum())
             total_sq += int((counts**2).sum())

@@ -155,12 +155,22 @@ def test_estimate_pool_capped_at_chunk_count(cartan3, serial_pool):
     for threads in (2, 3, MAX_THREADS):
         report = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=threads, **kwargs)
         assert report == one
-    assert serial_pool == [2, 3, 3]
+    # one worker is the caller with one draw helper, so threads=1 asks for a pool of one
+    assert serial_pool == [1, 2, 3, 3]
     estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=MAX_THREADS, samples=10, seed=0)
-    assert serial_pool == [2, 3, 3]  # one chunk runs on the calling thread
+    assert serial_pool == [1, 2, 3, 3, 1]  # one chunk runs on the caller and one helper
     with pytest.raises(ValueError, match="at most"):
         estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=MAX_THREADS + 1, **kwargs)
-    assert serial_pool == [2, 3, 3]
+    assert serial_pool == [1, 2, 3, 3, 1]
+
+
+def test_estimate_asks_for_one_helper(cartan3, request):
+    # with the serial pool the draws run on the calling thread, to the same report
+    kwargs = dict(samples=20000, seed=3, chunk=8192)
+    drawn_ahead = estimate_bound((16, 15), cartan3, FilterLevel.COND2, **kwargs)
+    serial_pool = request.getfixturevalue("serial_pool")
+    assert estimate_bound((16, 15), cartan3, FilterLevel.COND2, **kwargs) == drawn_ahead
+    assert serial_pool == [1]
 
 
 def test_estimate_independent_of_chunk_count(cartan3):
@@ -244,14 +254,21 @@ def _traced_peak(job):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("job", ["cond1", "cond2", "visits"])
+@pytest.mark.parametrize(
+    "job", ["cond1", "cond2", "visits", "drawn-ahead-cond1", "drawn-ahead-cond2"]
+)
 def test_chunk_memory_is_bounded(job):
     # a chunk runs in sub-batches, so its peak allocation stays at a few MB
-    # whatever its size (a whole 65,536-row chunk at (201,200) took 75 MB)
+    # whatever its size (a whole 65,536-row chunk at (201,200) took 75 MB);
+    # visits and drawn-ahead estimates hold two sub-batches in flight
     def run(size):
         if job == "visits":
             return lambda: visits_statistic(k=200, distance=1, samples=size, seed=1, chunk=size)
-        level = FilterLevel.COND1 if job == "cond1" else FilterLevel.COND2
+        level = FilterLevel.COND1 if job.endswith("cond1") else FilterLevel.COND2
+        if job.startswith("drawn-ahead"):
+            return lambda: estimate_bound(
+                (201, 200), Rank2Cartan(3), level, samples=size, seed=1, threads=1, chunk=size
+            )
         return lambda: _estimate_chunk((201, 200, 3, level, 1, 0, size))
 
     small, big = (_traced_peak(run(size)) for size in (8192, 65536))
@@ -552,29 +569,63 @@ def test_overlapped_visit_sums_match_the_sequential_loop(k, rows, monkeypatch):
         assert sampler.visit_sums(k, distance, 9, sizes) == expected, distance
 
 
-def test_visit_sums_passes_on_a_failed_count(monkeypatch):
+@pytest.mark.parametrize("weight", [(1, 2), (11, 15), (16, 15), (51, 50)], ids=str)
+@pytest.mark.parametrize("rows", [1, 3, 7, None], ids=["1", "3", "7", "default"])
+def test_drawn_ahead_hits_match_the_chunk_sums(weight, rows, monkeypatch):
+    # one worker counts each sub-batch while the helper draws the next; the
+    # pool path sums whole chunks, and both must count the same words; no
+    # row count here divides a chunk, so every chunk ends on a short sub-batch
+    n, m = weight
+    if rows is not None:
+        monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", rows * 8 * (n + m))
+    sizes = _chunk_sizes(1000, 334)
+    for r in (3, 4):
+        for level in (FilterLevel.COND1, FilterLevel.COND2):
+            chunks = [(n, m, r, level, 9, i, s) for i, s in enumerate(sizes)]
+            expected = sum(map(_estimate_chunk, chunks))
+            assert sampler.count_hits(n, m, r, level, 9, sizes, 1) == expected, (r, level)
+
+
+# each sampler's drawn-ahead call on two chunks of 10 words of 15 letters,
+# and the function it calls once per sub-batch, with the sub-batch first
+DRAWN_AHEAD = {
+    "visit_sums": (lambda: sampler.visit_sums(7, 1, 9, [10, 10]), "_visit_counts"),
+    "count_hits": (
+        lambda: sampler.count_hits(8, 7, 3, FilterLevel.COND2, 9, [10, 10], 1),
+        "_cond1_screen",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DRAWN_AHEAD)
+def test_sampler_passes_on_a_failed_count(name, monkeypatch):
     # the count fails on the second sub-batch while the helper draws the
     # third; the caller gets that error, and no thread is left behind
     # (the autouse fixture checks that)
+    call, counter = DRAWN_AHEAD[name]
+    count = getattr(sampler, counter)
     error = RuntimeError("count failed")
     calls = []
 
-    def failing(W, distance):
+    def failing(W, *args):
         calls.append(len(W))
         if len(calls) == 2:
             raise error
-        return _visit_counts(W, distance)
+        return count(W, *args)
 
     monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", 3 * 8 * 15)
-    monkeypatch.setattr(sampler, "_visit_counts", failing)
+    monkeypatch.setattr(sampler, counter, failing)
     with pytest.raises(RuntimeError) as raised:
-        sampler.visit_sums(7, 1, 9, [10, 10])
+        call()
     assert raised.value is error
     assert calls == [3, 3]
 
 
-def test_visit_sums_passes_on_a_failed_draw(monkeypatch):
+@pytest.mark.parametrize("name", DRAWN_AHEAD)
+def test_sampler_passes_on_a_failed_draw(name, monkeypatch):
     # the helper fails to seed chunk 1, after chunk 0 was counted
+    call, counter = DRAWN_AHEAD[name]
+    count = getattr(sampler, counter)
     error = RuntimeError("no generator")
     counted = []
 
@@ -583,14 +634,14 @@ def test_visit_sums_passes_on_a_failed_draw(monkeypatch):
             raise error
         return _chunk_rng(seed, index)
 
-    def counting(W, distance):
+    def counting(W, *args):
         counted.append(len(W))
-        return _visit_counts(W, distance)
+        return count(W, *args)
 
     monkeypatch.setattr(sampler, "_chunk_rng", failing_rng)
-    monkeypatch.setattr(sampler, "_visit_counts", counting)
+    monkeypatch.setattr(sampler, counter, counting)
     with pytest.raises(RuntimeError) as raised:
-        sampler.visit_sums(7, 1, 9, [10, 10])
+        call()
     assert raised.value is error
     assert counted == [10]
 
