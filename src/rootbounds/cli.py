@@ -9,13 +9,17 @@ theorem, k and distance go out as JSON numbers of any size.  main
 returns every exit code and never raises SystemExit: 0, or 2 after one
 "error:" line on stderr for a bad command line or a refused input.
 
-Only estimate and stats load numpy: estimate_bound and visits_statistic
-come from montecarlo.py, which imports the numpy sampler only when one of
-them runs.  The two commands call them as attributes of this module, so a
-wrapper set on rootbounds.cli is the one that runs.  The exact commands
-(mult, bound, table, validate) start fast: they load neither numpy nor
-dataclasses, and csv loads only where CSV is written (table and
---format csv).
+Importing this module loads no other module of the package.  Each
+library name the commands use is imported from its home module on first
+read (_HOMES, PEP 562), so a command compiles and loads only what it
+runs: mult core_lattice and peterson; validate core_lattice, string_data
+and stability_filters; bound those and counting; table all four and
+peterson; estimate and stats montecarlo, which imports the numpy sampler
+only when one of them runs.  The commands read these names as attributes
+of this module, so a wrapper set on rootbounds.cli is the one that runs.
+The exact commands (mult, bound, table, validate) load neither numpy nor
+dataclasses, and csv loads only where CSV is written (table and --format
+csv).
 
 A call that names its subcommand builds only that subcommand's parser;
 argparse's add_argument is most of the time of a small exact command.
@@ -31,16 +35,50 @@ import os
 import sys
 import warnings
 from math import gcd
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core_lattice import Rank2Cartan, Weight, as_weight, classify, dyck_count
-from .counting import MAX_LISTED_PATHS, bound_report, check_bound_height, dyck_words
-from .counting import enumerate_dyck  # noqa: F401  bench/tracing.py patches cli.enumerate_dyck
-from .montecarlo import DEFAULT_CHUNK, MAX_THREADS, estimate_bound, visits_statistic
-from .peterson import MultiplicityTable, check_box
-from .stability_filters import FilterLevel, cond1, cond2
-from .string_data import is_dyck, littelmann_valid, weight_of, word_to_runs
-from .string_data import runs_to_word  # noqa: F401  bench/tracing.py patches cli.runs_to_word
+from . import _lazy
+
+if TYPE_CHECKING:
+    from .core_lattice import Weight
+    from .stability_filters import FilterLevel
+
+# each library name the commands use, by the module that defines it; the
+# first read imports that module, so a command loads only what it runs
+_HOMES = {
+    "Rank2Cartan": "core_lattice",
+    "Weight": "core_lattice",
+    "as_weight": "core_lattice",
+    "classify": "core_lattice",
+    "dyck_count": "core_lattice",
+    "MAX_LISTED_PATHS": "counting",
+    "bound_report": "counting",
+    "check_bound_height": "counting",
+    "dyck_words": "counting",
+    # no command calls it: bench/tracing.py patches cli.enumerate_dyck
+    "enumerate_dyck": "counting",
+    "DEFAULT_CHUNK": "montecarlo",
+    "MAX_THREADS": "montecarlo",
+    "estimate_bound": "montecarlo",
+    "visits_statistic": "montecarlo",
+    "MultiplicityTable": "peterson",
+    "check_box": "peterson",
+    "FilterLevel": "stability_filters",
+    "cond1": "stability_filters",
+    "cond2": "stability_filters",
+    "is_dyck": "string_data",
+    "littelmann_valid": "string_data",
+    "weight_of": "string_data",
+    "word_to_runs": "string_data",
+    # no command calls it: bench/tracing.py patches cli.runs_to_word
+    "runs_to_word": "string_data",
+}
+__getattr__, __dir__ = _lazy(globals(), _HOMES)
+
+# The commands read every name above as an attribute of this module (under
+# python -m, of __main__), never as a bare global, which would not reach
+# __getattr__; so a wrapper set on the module is the one that runs.
+_cli = sys.modules[__name__]
 
 THREADS_ENV = "ROOTBOUNDS_THREADS"
 
@@ -59,7 +97,7 @@ def _parse_root(text: str, option: str = "--root") -> Weight:
         raise ValueError(
             f"{option} needs two comma-separated integers c0,c1, got {text!r}"
         ) from None
-    return as_weight((c0, c1))
+    return _cli.as_weight((c0, c1))
 
 
 def _parse_seed(text: str) -> int:
@@ -83,7 +121,7 @@ def _parse_threads(text: str) -> int:
 
 
 def _theorem_level(theorem: int) -> FilterLevel:
-    return FilterLevel.COND1 if theorem == 1 else FilterLevel.COND2
+    return _cli.FilterLevel.COND1 if theorem == 1 else _cli.FilterLevel.COND2
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -99,14 +137,14 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_mult(args) -> int:
     root = _parse_root(args.root)
-    cartan = Rank2Cartan(args.r)
-    check_box(*root)
-    table = MultiplicityTable(cartan)
+    cartan = _cli.Rank2Cartan(args.r)
+    _cli.check_box(*root)
+    table = _cli.MultiplicityTable(cartan)
     _emit(
         {
             "root": [root.c0, root.c1],
             "r": args.r,
-            "class": classify(root, cartan).value,
+            "class": _cli.classify(root, cartan).value,
             "multiplicity": str(table.entry(root)[1]),
         },
         args.format,
@@ -119,11 +157,13 @@ def cmd_bound(args) -> int:
         # a CSV row holds only scalar fields, so the paths would be dropped
         raise ValueError("--list needs --format json")
     root = _parse_root(args.root)
-    cartan = Rank2Cartan(args.r)
-    report = bound_report(root, cartan)
+    cartan = _cli.Rank2Cartan(args.r)
+    report = _cli.bound_report(root, cartan)
     bound = report.count_thm1 if args.theorem == 1 else report.count_thm2
-    if args.list and bound > MAX_LISTED_PATHS:
-        raise ValueError(f"--list stops at {MAX_LISTED_PATHS} paths; {tuple(root)} has {bound}")
+    if args.list and bound > _cli.MAX_LISTED_PATHS:
+        raise ValueError(
+            f"--list stops at {_cli.MAX_LISTED_PATHS} paths; {tuple(root)} has {bound}"
+        )
     payload = {
         "root": [root.c0, root.c1],
         "r": args.r,
@@ -135,7 +175,7 @@ def cmd_bound(args) -> int:
         "elapsed_seconds": round(report.elapsed, 3),
     }
     if args.list:
-        words = dyck_words(root, cartan, _theorem_level(args.theorem))
+        words = _cli.dyck_words(root, cartan, _theorem_level(args.theorem))
         # the listing and the DP are independent routes to the same count
         if len(words) != bound:
             raise ArithmeticError(f"listed {len(words)} paths, the DP counts {bound}")
@@ -146,8 +186,8 @@ def cmd_bound(args) -> int:
 
 def cmd_estimate(args) -> int:
     root = _parse_root(args.root)
-    cartan = Rank2Cartan(args.r)
-    report = estimate_bound(
+    cartan = _cli.Rank2Cartan(args.r)
+    report = _cli.estimate_bound(
         root,
         cartan,
         _theorem_level(args.theorem),
@@ -175,20 +215,20 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    runs = word_to_runs(args.word)
-    w = weight_of(runs)
-    cartan = Rank2Cartan(args.r)
+    runs = _cli.word_to_runs(args.word)
+    w = _cli.weight_of(runs)
+    cartan = _cli.Rank2Cartan(args.r)
     payload = {
         "word": args.word,
         "runs": list(runs),
         "weight": [w.c0, w.c1],
-        "littelmann_valid": littelmann_valid(runs, cartan),
-        "is_dyck": is_dyck(runs),
+        "littelmann_valid": _cli.littelmann_valid(runs, cartan),
+        "is_dyck": _cli.is_dyck(runs),
         # the run-pair conditions assume every run >= 1, so words that
         # start with 0 get null here rather than a made-up verdict
-        "cond1": cond1(runs, cartan) if all(a >= 1 for a in runs) else None,
+        "cond1": _cli.cond1(runs, cartan) if all(a >= 1 for a in runs) else None,
         "cond2": (
-            cond2(runs, cartan)
+            _cli.cond2(runs, cartan)
             if len(runs) % 2 == 0 and all(a >= 1 for a in runs)
             else None
         ),
@@ -198,11 +238,11 @@ def cmd_validate(args) -> int:
 
 
 def _family_root(family: str, n: int) -> Weight:
-    return Weight(n + 1, n) if family == "staircase" else Weight(n, n + 1)
+    return _cli.Weight(n + 1, n) if family == "staircase" else _cli.Weight(n, n + 1)
 
 
 def cmd_table(args) -> int:
-    cartan = Rank2Cartan(args.r)
+    cartan = _cli.Rank2Cartan(args.r)
     if args.roots is not None and args.family != "custom":
         raise ValueError("--roots needs --family custom")
     # every check comes before the table is filled and the header is
@@ -220,17 +260,17 @@ def cmd_table(args) -> int:
         # only once that box has passed the ceiling
         box = _family_root(args.family, args.max_n)
         roots = (_family_root(args.family, n) for n in range(1, args.max_n + 1))
-    check_box(*box)
+    _cli.check_box(*box)
     rows = list(enumerate(roots, start=1))
     guard = args.skip_bounds_above
     skips = []
     for _, root in rows:
         if min(root) < 1 or gcd(*root) != 1:
             raise ValueError(f"table roots need coprime positive coordinates, got {tuple(root)}")
-        skips.append(guard is not None and dyck_count(*root) > guard)
+        skips.append(guard is not None and _cli.dyck_count(*root) > guard)
         if not skips[-1]:
-            check_bound_height(*root)
-    table = MultiplicityTable(cartan)
+            _cli.check_bound_height(*root)
+    table = _cli.MultiplicityTable(cartan)
     table.fill_box(*box)
     import csv
     writer = csv.writer(sys.stdout)
@@ -240,7 +280,7 @@ def cmd_table(args) -> int:
         if skipped:
             b1 = b2 = g1 = g2 = "skipped"
         else:
-            report = bound_report(root, cartan)
+            report = _cli.bound_report(root, cartan)
             b1, b2 = report.count_thm1, report.count_thm2
             g1, g2 = b1 - mult, b2 - mult
         writer.writerow([n, root.c0, root.c1, mult, b1, b2, g1, g2])
@@ -248,7 +288,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = visits_statistic(
+    report = _cli.visits_statistic(
         args.k, args.distance, samples=args.samples, seed=args.seed, chunk=args.chunk
     )
     _emit(
@@ -292,7 +332,8 @@ def _add_bound(sub) -> None:
     p.add_argument(
         "--list",
         action="store_true",
-        help=f"also list passing paths as words (JSON only, at most {MAX_LISTED_PATHS} paths)",
+        help="also list passing paths as words "
+        f"(JSON only, at most {_cli.MAX_LISTED_PATHS} paths)",
     )
     p.set_defaults(fn=cmd_bound)
 
@@ -307,10 +348,10 @@ def _add_estimate(sub) -> None:
         "--threads",
         type=_parse_threads,
         default=os.environ.get(THREADS_ENV, "1"),
-        help=f"worker threads, at most {MAX_THREADS} (default ${THREADS_ENV} or 1); "
+        help=f"worker threads, at most {_cli.MAX_THREADS} (default ${THREADS_ENV} or 1); "
         "one worker also starts one draw helper; does not affect results",
     )
-    p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK, help="samples per RNG chunk")
+    p.add_argument("--chunk", type=int, default=_cli.DEFAULT_CHUNK, help="samples per RNG chunk")
     p.set_defaults(fn=cmd_estimate)
 
 
@@ -342,7 +383,7 @@ def _add_stats(sub) -> None:
     p.add_argument("--distance", type=int, required=True, help="count points with y - x = distance")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
+    p.add_argument("--chunk", type=int, default=_cli.DEFAULT_CHUNK)
     p.set_defaults(fn=cmd_stats)
 
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -751,6 +752,34 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["multiplicity"] == "1"
 
 
+_RUNPY_PROBE = """
+import runpy
+import sys
+try:
+    runpy.run_module("rootbounds.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "rootbounds.cli" in sys.modules)
+"""
+
+
+def test_module_entry_point_imports_the_cli_once(capsys):
+    # run as __main__, the CLI reads its lazy names from __main__; importing
+    # rootbounds.cli beside it would make runpy warn, and -W error fails that
+    argv = ("bound", "--root", "11,8", "--theorem", "2", "--list")
+    proc = _run_module("-W", "error", "-m", "rootbounds.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def timeless(text):
+        return re.sub(r'"elapsed_seconds":[^,}]+', '"elapsed_seconds":0', text)
+
+    assert timeless(proc.stdout) == timeless(out)
+    proc = _run_module("-W", "error", "-c", _RUNPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_optimized_python_gives_same_bound_output():
     argv = ("-m", "rootbounds.cli", "bound", "--root", "11,10", "--theorem", "2")
     outputs = []
@@ -886,6 +915,101 @@ def test_exact_commands_start_lean(argv, loads_csv):
     assert proc.stdout.splitlines()[-1] == ("0 csv" if loads_csv else "0")
 
 
+_LOADS_PROBE = """
+import sys
+before = set(sys.modules)
+import rootbounds
+import rootbounds.cli
+
+
+def loaded():
+    return sorted(name.split(".", 1)[-1] for name in set(sys.modules) - before
+                  if name.startswith("rootbounds.") or name in ("decimal", "fractions"))
+
+
+print(*loaded())
+if sys.argv[1:]:
+    code = rootbounds.cli.main(sys.argv[1:])
+    print(code, *loaded())
+"""
+
+
+def test_importing_the_cli_loads_no_library_module():
+    # each command imports what it runs on first use, so a fresh interpreter
+    # compiles only the CLI before the command line is parsed
+    proc = _run_module("-c", _LOADS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("mult", "--root", "16,15"), "core_lattice decimal fractions peterson"),
+    (("validate", "--word", "1010001"), "core_lattice stability_filters string_data"),
+    (("bound", "--root", "11,8", "--theorem", "2", "--list"),
+     "core_lattice counting stability_filters string_data"),
+    (("table", "--family", "staircase", "--max-n", "3"),
+     "core_lattice counting decimal fractions peterson stability_filters string_data"),
+])
+def test_each_exact_command_loads_only_what_it_runs(argv, loads):
+    # mult needs no counting engine or filters, validate no Peterson table,
+    # and no exact command loads montecarlo; fractions (and with it decimal)
+    # comes only with peterson
+    proc = _run_module("-c", _LOADS_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 cli {loads}"
+
+
+_SURFACE_PROBE = """
+import sys
+import rootbounds
+from rootbounds import counting
+print(counting is sys.modules["rootbounds.counting"])
+namespace = {}
+exec("from rootbounds import *", namespace)
+print(sorted(set(namespace) - {"__builtins__"}) == sorted(rootbounds.__all__))
+"""
+
+
+def test_package_names_load_on_first_use():
+    # a fresh interpreter, so the names and the submodule are not yet loaded
+    proc = _run_module("-c", _SURFACE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "True"]
+
+
+@pytest.mark.parametrize("module", ["rootbounds", "rootbounds.cli"])
+def test_lazy_names_are_their_home_modules_objects(module):
+    module = sys.modules[module]
+    if module is rootbounds.cli:
+        # bench/tracing.py replaces these two, which no command calls
+        assert {"enumerate_dyck", "runs_to_word"} <= module._HOMES.keys()
+    else:
+        assert sorted(module._HOMES) == sorted(module.__all__)
+    for name, home in module._HOMES.items():
+        # __getattr__ itself, since this process has read most names already
+        expected = getattr(sys.modules[f"rootbounds.{home}"], name)
+        assert module.__getattr__(name) is expected, name
+        assert getattr(module, name) is expected, name
+    assert module._HOMES.keys() <= set(dir(module))
+    with pytest.raises(AttributeError, match=f"{module.__name__}.*no_such_name"):
+        module.no_such_name
+
+
+def test_cli_reads_its_lazy_names_as_module_attributes():
+    # a bare global would not reach __getattr__, and would bypass a wrapper
+    # set on rootbounds.cli; annotations are never evaluated
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    bare = sorted(
+        f"{name.id}:{name.lineno}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for statement in function.body
+        for name in ast.walk(statement)
+        if isinstance(name, ast.Name) and name.id in rootbounds.cli._HOMES
+    )
+    assert bare == []
+
+
 _LIBRARY_PROBE = """
 import sys
 import rootbounds
@@ -981,6 +1105,31 @@ def test_commands_call_the_cli_module_attributes(capsys, monkeypatch):
         0, '{"distance":1,"k":3,"mean":"5","samples":"10","seed":"0","std_error":"0.2"}\n', ""
     )
     assert calls == ["estimate_bound", "visits_statistic"]
+
+
+@pytest.mark.parametrize("argv, roots", [
+    (("bound", "--root", "11,8", "--theorem", "2"), [(11, 8)]),
+    (("table", "--family", "staircase", "--max-n", "3"), [(2, 1), (3, 2), (4, 3)]),
+])
+def test_bound_and_table_call_the_cli_bound_report(capsys, monkeypatch, argv, roots):
+    # bench/tracing.py times the counting engine by replacing this attribute
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    calls = []
+    real = rootbounds.cli.bound_report
+
+    def counted(root, cartan):
+        calls.append(tuple(root))
+        return real(root, cartan)
+
+    monkeypatch.setattr(rootbounds.cli, "bound_report", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == roots
+    if argv[0] == "bound":
+        out, expected = (json.loads(text) for text in (out, expected))
+        out.pop("elapsed_seconds"), expected.pop("elapsed_seconds")
+    assert out == expected
 
 
 def test_bench_patch_points_exist(monkeypatch):
