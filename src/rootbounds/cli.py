@@ -348,8 +348,8 @@ def _add_estimate(sub) -> None:
         "--threads",
         type=_parse_threads,
         default=os.environ.get(THREADS_ENV, "1"),
-        help=f"worker threads, at most {_cli.MAX_THREADS} (default ${THREADS_ENV} or 1); "
-        "one worker also starts one draw helper; does not affect results",
+        help=f"draw threads (default ${THREADS_ENV} or 1), at most {_cli.MAX_THREADS}, "
+        "used up to one per chunk; the calling thread counts; does not affect results",
     )
     p.add_argument("--chunk", type=int, default=_cli.DEFAULT_CHUNK, help="samples per RNG chunk")
     p.set_defaults(fn=cmd_estimate)

@@ -18,7 +18,7 @@ from .core_lattice import Rank2Cartan, as_weight, dyck_count, is_int
 from .stability_filters import FilterLevel
 
 DEFAULT_CHUNK = 1 << 16
-# estimate_bound refuses more worker threads than this, so a typo in
+# estimate_bound refuses more draw threads than this, so a typo in
 # --threads cannot start thousands of them
 MAX_THREADS = 64
 # the chunk plan refuses more chunks than this, so a tiny --chunk cannot
@@ -113,13 +113,11 @@ def estimate_bound(
 
     estimate = (hits / samples) * dyck_total, with the binomial standard
     error sqrt(p(1-p)/samples) * dyck_total; both reported to 6
-    significant digits as decimal strings.  The chunks run on
-    min(threads, number of chunks) workers.  One worker is the calling
-    thread plus one helper that draws the next sub-batch while the caller
-    counts the last; more workers are a pool of that many threads, each
-    running whole chunks.  The result never depends on the thread count.
-    threads above MAX_THREADS, and more than MAX_CHUNKS chunks, are
-    refused.
+    significant digits as decimal strings.  min(threads, number of
+    chunks) helper threads draw the chunks' sub-batches ahead while the
+    calling thread counts them.  The result never depends on the thread
+    count.  threads above MAX_THREADS, and more than MAX_CHUNKS chunks,
+    are refused.
     """
     n, m = as_weight(weight)
     _check_seed(seed)

@@ -9,18 +9,17 @@ bit-identical for a given (seed, samples, chunk) at any thread count.
 
 A chunk is drawn from its one generator in consecutive int64 sub-batches
 of at most SUB_BATCH_BYTES, so a chunk's memory stays at a few
-sub-batches whatever its size.  One worker is the calling thread plus one
-draw helper (_drawn_ahead): the helper draws the next sub-batch while the
-caller runs the last through its pipeline or count, so at most two are
-in flight.  The visit statistic always runs so, and so does an estimate
-on one thread or of a single chunk.  An estimate on more workers runs
-whole chunks on a pool of that many threads, each of which runs a
-sub-batch through the whole pipeline before it draws the next, and
-starts no helper.  Either way the rows and their order are set by the
-seed and the chunk sizes alone, so no result depends on the thread
-count.  The rows are those of one permuted call over the whole chunk,
-and 8-byte items take numpy's fast swap path.  Words longer than
-MAX_LETTERS, whose single row would outgrow a sub-batch, are refused.
+sub-batches whatever its size.  Draw helpers (_drawn_ahead) draw the
+sub-batches while the calling thread runs each through its pipeline or
+count: chunk i goes to lane i mod helpers, and each lane keeps one
+sub-batch drawn ahead, so at most helpers + 1 are in flight.  An
+estimate starts min(threads, chunks) helpers, the visit statistic one.
+The rows of each chunk and their order are set by the seed and the chunk
+sizes alone, and the totals are integer sums, so no result depends on
+the thread count.  The rows are those of one permuted call over the
+whole chunk, and 8-byte items take numpy's fast swap path.  Words longer
+than MAX_LETTERS, whose single row would outgrow a sub-batch, are
+refused.
 The draw, Generator.permuted(axis=1), releases the GIL while it
 shuffles, for int64 items as for float64 ones: under numpy 2.4, with the
 switch interval at 1 s, a thread sleeping 1 ms at a time kept waking
@@ -31,7 +30,7 @@ threads queue.
 An estimate sends each sub-batch through one pipeline: draw, then
 screen, rotate, decode runs, cond1, cond2 (_hit_counter).  Only the draw
 touches every row at full cost; at small roots the stages after it take
-about as long, and the helper's next draw hides behind them.  The screen
+about as long, and the helpers' next draws hide behind them.  The screen
 marks unrotated words that hold, cyclically, a lone 1 followed by at
 least b1 zeros (b1 the shortest run that cond1_pair rejects after a run
 of 1): they fail cond1 whatever their rotation, since the rotation cuts
@@ -60,6 +59,7 @@ inputs have passed, so nothing here checks them again.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -97,24 +97,30 @@ def _sub_batches(n: int, m: int, seed: int, index: int, size: int) -> Iterator[n
         yield W
 
 
-def _drawn_ahead(n: int, m: int, seed: int, sizes) -> Iterator[np.ndarray]:
-    """Every sub-batch of the seeded chunks of these sizes, in order, each drawn one step ahead.
+def _drawn_ahead(n: int, m: int, seed: int, sizes, helpers: int) -> Iterator[np.ndarray]:
+    """Every sub-batch of the seeded chunks of these sizes, drawn ahead by `helpers` threads.
 
-    One helper thread draws the next sub-batch while the caller works on
-    the last: the draw releases the GIL, and only the helper advances the
-    one stream of sub-batches, so the rows and their order are those of
-    the chunks drawn one after another.  The caller closes the generator
+    Chunk i goes to lane i mod helpers, and each lane draws its chunks'
+    sub-batches one after another, so every chunk's rows come in the order
+    of its own stream.  A pool of `helpers` threads keeps one draw in
+    flight per lane, and the caller takes the lanes' sub-batches in turn.
+    The draw releases the GIL, so the draws overlap the caller's work on
+    the last sub-batch taken.  The caller closes the generator
     (contextlib.closing) so that, whichever side raises, leaving the pool
-    waits for the draw in flight and no thread outlives the call.
+    waits for the draws in flight and no thread outlives the call.
     """
-    batches = (
-        W for index, size in enumerate(sizes) for W in _sub_batches(n, m, seed, index, size)
-    )
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(next, batches, None)
-        while (W := ahead.result()) is not None:
-            ahead = pool.submit(next, batches, None)
-            yield W
+    chunks = list(enumerate(sizes))
+    lanes = [
+        (W for index, size in chunks[lane::helpers] for W in _sub_batches(n, m, seed, index, size))
+        for lane in range(helpers)
+    ]
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        ahead = deque((lane, pool.submit(next, lane, None)) for lane in lanes)
+        while ahead:
+            lane, drawn = ahead.popleft()
+            if (W := drawn.result()) is not None:
+                ahead.append((lane, pool.submit(next, lane, None)))
+                yield W
 
 
 def _rotate_batch(W: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -266,24 +272,13 @@ def _hit_counter(n: int, m: int, r: int, level: FilterLevel) -> Callable[[np.nda
     return hits
 
 
-def _estimate_chunk(args) -> int:
-    n, m, r, level, seed, index, size = args
-    return sum(map(_hit_counter(n, m, r, level), _sub_batches(n, m, seed, index, size)))
-
-
 def count_hits(n: int, m: int, r: int, level: FilterLevel, seed: int, sizes, threads: int) -> int:
     """The words to (n, m) in the seeded chunks of these sizes that pass level.
 
-    With more than one worker (threads and chunks both above 1), each
-    worker thread of a pool runs whole chunks.  One worker is the caller,
-    counting each sub-batch while one helper draws the next.
+    min(threads, chunks) helpers draw the sub-batches, and the caller
+    counts each.
     """
-    workers = min(threads, len(sizes))
-    if workers > 1:
-        jobs = [(n, m, r, level, seed, i, s) for i, s in enumerate(sizes)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_estimate_chunk, jobs))
-    with closing(_drawn_ahead(n, m, seed, sizes)) as batches:
+    with closing(_drawn_ahead(n, m, seed, sizes, min(threads, len(sizes)))) as batches:
         return sum(map(_hit_counter(n, m, r, level), batches))
 
 
@@ -317,7 +312,7 @@ def _visit_counts(W: np.ndarray, distance: int) -> np.ndarray:
 def visit_sums(k: int, distance: int, seed: int, sizes) -> tuple[int, int]:
     """The sum and the sum of squares of the visit counts over the seeded chunks of these sizes."""
     total = total_sq = 0
-    with closing(_drawn_ahead(k + 1, k, seed, sizes)) as batches:
+    with closing(_drawn_ahead(k + 1, k, seed, sizes, 1)) as batches:
         for W in batches:
             counts = _visit_counts(W, distance)
             total += int(counts.sum())

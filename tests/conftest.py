@@ -43,8 +43,8 @@ def no_thread_left_running():
 def serial_pool(monkeypatch):
     """Replaces the sampler's ThreadPoolExecutor by one that starts no thread.
 
-    Returns the list of max_workers values asked for; chunks run serially,
-    and submit runs its call at once and returns the completed Future.
+    Returns the list of max_workers values asked for; submit runs its call
+    at once and returns the completed Future.
     """
     sizes = []
 
@@ -57,9 +57,6 @@ def serial_pool(monkeypatch):
 
         def __exit__(self, *exc):
             return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
 
         def submit(self, fn, *args):
             future = Future()

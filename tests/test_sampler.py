@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,6 @@ from rootbounds.sampler import (
     _cond1_screen,
     _cond1_table,
     _cond2_rows,
-    _estimate_chunk,
     _lone_one_limit,
     _rotate_batch,
     _runs,
@@ -39,6 +39,12 @@ from rootbounds.stability_filters import cond1, cond2
 def _whole_chunk(n, m, seed, index, size):
     """Chunk `index` of the seeded stream in one matrix: its sub-batches, concatenated."""
     return np.concatenate(list(_sub_batches(n, m, seed, index, size)))
+
+
+def _chunk_hits(n, m, r, level, seed, index, size):
+    """The words of chunk `index` that pass level, each sub-batch counted on the calling thread."""
+    hits = sampler._hit_counter(n, m, r, level)
+    return sum(map(hits, sampler._sub_batches(n, m, seed, index, size)))
 
 
 def _reference_rotation(W, n, m):
@@ -155,10 +161,11 @@ def test_estimate_pool_capped_at_chunk_count(cartan3, serial_pool):
     for threads in (2, 3, MAX_THREADS):
         report = estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=threads, **kwargs)
         assert report == one
-    # one worker is the caller with one draw helper, so threads=1 asks for a pool of one
+    # the caller counts while min(threads, chunks) helpers draw, so three
+    # chunks ask for at most three helpers
     assert serial_pool == [1, 2, 3, 3]
     estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=MAX_THREADS, samples=10, seed=0)
-    assert serial_pool == [1, 2, 3, 3, 1]  # one chunk runs on the caller and one helper
+    assert serial_pool == [1, 2, 3, 3, 1]  # one chunk has one helper
     with pytest.raises(ValueError, match="at most"):
         estimate_bound((16, 15), cartan3, FilterLevel.COND1, threads=MAX_THREADS + 1, **kwargs)
     assert serial_pool == [1, 2, 3, 3, 1]
@@ -255,12 +262,14 @@ def _traced_peak(job):
 
 
 @pytest.mark.parametrize(
-    "job", ["cond1", "cond2", "visits", "drawn-ahead-cond1", "drawn-ahead-cond2"]
+    "job",
+    ["cond1", "cond2", "visits", "drawn-ahead-cond1", "drawn-ahead-cond2", "two-helpers-cond2"],
 )
 def test_chunk_memory_is_bounded(job):
     # a chunk runs in sub-batches, so its peak allocation stays at a few MB
     # whatever its size (a whole 65,536-row chunk at (201,200) took 75 MB);
-    # visits and drawn-ahead estimates hold two sub-batches in flight
+    # visits and drawn-ahead estimates hold two sub-batches in flight, and
+    # two helpers on two chunks hold three
     def run(size):
         if job == "visits":
             return lambda: visits_statistic(k=200, distance=1, samples=size, seed=1, chunk=size)
@@ -269,7 +278,11 @@ def test_chunk_memory_is_bounded(job):
             return lambda: estimate_bound(
                 (201, 200), Rank2Cartan(3), level, samples=size, seed=1, threads=1, chunk=size
             )
-        return lambda: _estimate_chunk((201, 200, 3, level, 1, 0, size))
+        if job.startswith("two-helpers"):
+            return lambda: estimate_bound(
+                (201, 200), Rank2Cartan(3), level, samples=2 * size, seed=1, threads=2, chunk=size
+            )
+        return lambda: _chunk_hits(201, 200, 3, level, 1, 0, size)
 
     small, big = (_traced_peak(run(size)) for size in (8192, 65536))
     assert max(small, big) < 6 * 2**20, (small, big)
@@ -493,7 +506,7 @@ def test_screened_chunk_matches_unscreened(weight, r, level):
     # marked; at 2**62 nothing is marked and every row is rotated
     size = 4000 if weight[0] > 100 else 20000 if weight[0] > 10 else 2000
     args = (*weight, r, level, 2026, 1, size)
-    assert _estimate_chunk(args) == _unscreened_chunk(*args)
+    assert _chunk_hits(*args) == _unscreened_chunk(*args)
 
 
 def test_window_rotation_matches_reference_on_all_words():
@@ -572,26 +585,53 @@ def test_overlapped_visit_sums_match_the_sequential_loop(k, rows, monkeypatch):
 @pytest.mark.parametrize("weight", [(1, 2), (11, 15), (16, 15), (51, 50)], ids=str)
 @pytest.mark.parametrize("rows", [1, 3, 7, None], ids=["1", "3", "7", "default"])
 def test_drawn_ahead_hits_match_the_chunk_sums(weight, rows, monkeypatch):
-    # one worker counts each sub-batch while the helper draws the next; the
-    # pool path sums whole chunks, and both must count the same words; no
-    # row count here divides a chunk, so every chunk ends on a short sub-batch
+    # the caller counts each sub-batch while one, two or three helpers draw
+    # the next; that must count the words of the chunks counted one after
+    # another; no row count here divides a chunk, so every chunk ends on a
+    # short sub-batch
     n, m = weight
     if rows is not None:
         monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", rows * 8 * (n + m))
     sizes = _chunk_sizes(1000, 334)
     for r in (3, 4):
         for level in (FilterLevel.COND1, FilterLevel.COND2):
-            chunks = [(n, m, r, level, 9, i, s) for i, s in enumerate(sizes)]
-            expected = sum(map(_estimate_chunk, chunks))
-            assert sampler.count_hits(n, m, r, level, 9, sizes, 1) == expected, (r, level)
+            expected = sum(_chunk_hits(n, m, r, level, 9, i, s) for i, s in enumerate(sizes))
+            for threads in (1, 2, 3):
+                hits = sampler.count_hits(n, m, r, level, 9, sizes, threads)
+                assert hits == expected, (r, level, threads)
 
 
-# each sampler's drawn-ahead call on two chunks of 10 words of 15 letters,
-# and the function it calls once per sub-batch, with the sub-batch first
+def test_the_caller_screens_every_sub_batch(monkeypatch):
+    # the helpers only draw: each sub-batch is screened, and so counted, on
+    # the calling thread, however many helpers there are
+    screen = sampler._cond1_screen
+    screened_on = []
+
+    def recording(W, b1):
+        screened_on.append(threading.current_thread())
+        return screen(W, b1)
+
+    monkeypatch.setattr(sampler, "SUB_BATCH_BYTES", 3 * 8 * 15)
+    monkeypatch.setattr(sampler, "_cond1_screen", recording)
+    for threads in (1, 2, 3):
+        screened_on.clear()
+        sampler.count_hits(8, 7, 3, FilterLevel.COND2, 9, [10, 10, 10], threads)
+        # three chunks of 10 rows, in sub-batches of 3, 3, 3 and 1
+        assert screened_on == [threading.current_thread()] * 12, threads
+
+
+# each sampler's drawn-ahead call on chunks of 10 words of 15 letters, and
+# the function it calls once per sub-batch, with the sub-batch first; with
+# two helpers on three chunks, the caller takes chunk 0's first sub-batch,
+# then chunk 1's, so the same sub-batches fail as with one
 DRAWN_AHEAD = {
     "visit_sums": (lambda: sampler.visit_sums(7, 1, 9, [10, 10]), "_visit_counts"),
     "count_hits": (
         lambda: sampler.count_hits(8, 7, 3, FilterLevel.COND2, 9, [10, 10], 1),
+        "_cond1_screen",
+    ),
+    "count_hits-2-threads": (
+        lambda: sampler.count_hits(8, 7, 3, FilterLevel.COND2, 9, [10, 10, 10], 2),
         "_cond1_screen",
     ),
 }
@@ -599,8 +639,8 @@ DRAWN_AHEAD = {
 
 @pytest.mark.parametrize("name", DRAWN_AHEAD)
 def test_sampler_passes_on_a_failed_count(name, monkeypatch):
-    # the count fails on the second sub-batch while the helper draws the
-    # third; the caller gets that error, and no thread is left behind
+    # the count fails on the second sub-batch while the helpers draw
+    # ahead; the caller gets that error, and no thread is left behind
     # (the autouse fixture checks that)
     call, counter = DRAWN_AHEAD[name]
     count = getattr(sampler, counter)
